@@ -6,6 +6,12 @@ comparison is exact.  The conjugation twist of the half-modulus, the
 base-change map on Satake data, equivalence under the relevant Weyl
 groups, and the commutativity of twisting with base change are all
 computed at this desk scale.
+
+A value r * (q^{1/2})^k is stored as the integer triple (num, den, k)
+with r = num/den in lowest terms and den > 0, so equality and hashing
+are plain tuple operations.  ``Fraction`` appears only at the edges:
+the input of ``qval``, the Weyl-orbit sort key and the modulus-exponent
+patterns.
 """
 
 from __future__ import annotations
@@ -14,32 +20,51 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import PreconditionError, SideError
 
+# Products and inverses are built with tuple.__new__, which skips the
+# NamedTuple constructor's extra Python-level call; their arithmetic
+# already leaves them normalized.
+_new_tuple = tuple.__new__
+
 
 class QValue(NamedTuple):
-    """r * (q^{1/2})^k in the abstract group of rationals times formal root powers."""
+    """(num/den) * (q^{1/2})^k with num != 0, den > 0 and gcd(num, den) == 1.
 
-    r: Fraction
+    Build values with ``qval``; the products and inverses below keep the
+    normalization, so two equal values are equal as tuples.
+    """
+
+    num: int
+    den: int
     k: int
 
     def __mul__(self, other: "QValue") -> "QValue":  # type: ignore[override]
-        return QValue(self.r * other.r, self.k + other.k)
+        n1, d1, k1 = self
+        n2, d2, k2 = other
+        num, den = n1 * n2, d1 * d2
+        g = gcd(num, den)
+        return _new_tuple(QValue, (num // g, den // g, k1 + k2))
 
     def inv(self) -> "QValue":
-        return QValue(1 / self.r, -self.k)
+        num, den, k = self
+        if num < 0:
+            return _new_tuple(QValue, (-den, -num, -k))
+        return _new_tuple(QValue, (den, num, -k))
 
     def sort_key(self):
-        return (self.k, self.r)
+        return (self.k, Fraction(self.num, self.den))
 
 
 def qval(r, k: int = 0) -> QValue:
     value = Fraction(r)
     if value == 0:
         raise PreconditionError("character values must be nonzero")
-    return QValue(value, k)
+    return QValue(value.numerator, value.denominator, k)
 
 
 ONE_VALUE = qval(1, 0)
@@ -72,6 +97,9 @@ class GLSide:
             raise PreconditionError("rank must be at least 1")
 
 
+_numerator = itemgetter(0)
+
+
 @dataclass(frozen=True, eq=True)
 class UnramChar:
     side: USide | GLSide
@@ -83,13 +111,17 @@ class UnramChar:
             raise PreconditionError(
                 f"character needs {expected} coordinates, got {len(self.coords)}"
             )
-        if any(c.r == 0 for c in self.coords):
+        if not all(map(_numerator, self.coords)):
             raise PreconditionError("character values must be nonzero")
 
     def __mul__(self, other: "UnramChar") -> "UnramChar":
         if self.side != other.side:
             raise SideError("cannot multiply characters on different sides")
-        return UnramChar(self.side, tuple(a * b for a, b in zip(self.coords, other.coords)))
+        return UnramChar(self.side, _times(self.coords, other.coords))
+
+
+def _times(xs: tuple[QValue, ...], ys: tuple[QValue, ...]) -> tuple[QValue, ...]:
+    return tuple(map(QValue.__mul__, xs, ys))
 
 
 def unitary_modulus_exponents(m: int, odd_rank: bool = False) -> tuple[Fraction, ...]:
@@ -134,6 +166,17 @@ def galois_twist(side: USide | GLSide, eps: int) -> UnramChar:
     return UnramChar(side, tuple(coords))
 
 
+def _gl_side(side: USide) -> GLSide:
+    return GLSide(2 * side.m + (1 if side.odd_rank else 0))
+
+
+def _bc_coords(side: USide, coords: tuple[QValue, ...]) -> tuple[QValue, ...]:
+    inv_block = tuple(map(QValue.inv, coords))
+    if side.odd_rank:
+        return coords + (ONE_VALUE,) + inv_block
+    return coords + inv_block
+
+
 def base_change(chi: UnramChar) -> UnramChar:
     """Quadratic base change on Satake data: (c_1..c_m) -> (c_1..c_m, c_1^-1..c_m^-1).
 
@@ -141,11 +184,13 @@ def base_change(chi: UnramChar) -> UnramChar:
     """
     if not isinstance(chi.side, USide):
         raise SideError("base change starts from the unitary side")
-    m = chi.side.m
-    inv_block = tuple(c.inv() for c in chi.coords)
-    if chi.side.odd_rank:
-        return UnramChar(GLSide(2 * m + 1), chi.coords + (ONE_VALUE,) + inv_block)
-    return UnramChar(GLSide(2 * m), chi.coords + inv_block)
+    return UnramChar(_gl_side(chi.side), _bc_coords(chi.side, chi.coords))
+
+
+@functools.lru_cache(maxsize=None)
+def _twists(side: USide, eps: int) -> tuple[UnramChar, UnramChar]:
+    """The sign twist on a unitary side and on its base-change target."""
+    return galois_twist(side, eps), galois_twist(_gl_side(side), eps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,8 +203,7 @@ def twist_pattern_via_base_change(side: USide) -> tuple[Fraction, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _pattern_facts(side: USide) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], bool, bool]:
-    gl_n = 2 * side.m + (1 if side.odd_rank else 0)
-    direct = linear_modulus_exponents(gl_n)
+    direct = linear_modulus_exponents(_gl_side(side).n)
     via_bc = twist_pattern_via_base_change(side)
     return direct, via_bc, direct == via_bc, sorted(direct) == sorted(via_bc)
 
@@ -206,12 +250,15 @@ def commutativity_check(chi: UnramChar, eps: int) -> CommutativityReport:
     half-exponent patterns behind the two twists agree only up to the
     linear Weyl group once the half-rank exceeds one.
     """
-    if not isinstance(chi.side, USide):
+    side = chi.side
+    if not isinstance(side, USide):
         raise SideError("commutativity check starts from the unitary side")
-    gl_side = GLSide(2 * chi.side.m + (1 if chi.side.odd_rank else 0))
-    lhs = base_change(chi) * galois_twist(gl_side, eps)
-    rhs = base_change(chi * galois_twist(chi.side, eps))
-    direct, via_bc, tuples_eq, weyl_eq = _pattern_facts(chi.side)
+    u_twist, gl_twist = _twists(side, eps)
+    # lhs = BC(chi) * twist_GL and rhs = BC(chi * twist_U), built from
+    # coordinate tuples so that only the two reported characters exist.
+    lhs = UnramChar(gl_twist.side, _times(_bc_coords(side, chi.coords), gl_twist.coords))
+    rhs = UnramChar(gl_twist.side, _bc_coords(side, _times(chi.coords, u_twist.coords)))
+    direct, via_bc, tuples_eq, weyl_eq = _pattern_facts(side)
     values_equal = lhs.coords == rhs.coords
     return CommutativityReport(
         twist_then_bc=lhs,

@@ -144,6 +144,15 @@ def _parse_model(spec: dict) -> CMFieldModel:
         raise ScenarioError(f"field_model is missing key {exc}") from exc
 
 
+def _check_basechange_fields(chk: dict, where: str) -> None:
+    m_max = chk.get("m_max", 3)
+    if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 1:
+        raise ScenarioError(f"{where}: m_max must be an integer >= 1, got {m_max!r}")
+    for flag in ("odd_rank", "witness"):
+        if flag in chk and not isinstance(chk[flag], bool):
+            raise ScenarioError(f"{where}: {flag} must be true or false, got {chk[flag]!r}")
+
+
 def parse_scenario(path: str) -> Scenario:
     """Load and fully validate a scenario file.
 
@@ -230,6 +239,8 @@ def parse_scenario(path: str) -> Scenario:
             kind = chk.get("kind")
             if kind not in CHECK_KINDS:
                 raise ScenarioError(f"checks[{idx}]: unknown kind {kind!r}")
+            if kind == "basechange":
+                _check_basechange_fields(chk, f"checks[{idx}]")
             entry = dict(chk)
             entry.setdefault("id", f"{kind}-{idx}")
             checks.append(entry)
@@ -459,14 +470,20 @@ def _run_compare(scn: Scenario, chk: dict) -> CheckResult:
 
 
 def _run_basechange(scn: Scenario, chk: dict) -> CheckResult:
-    m_max = int(chk.get("m_max", 3))
-    odd = bool(chk.get("odd_rank", False))
-    total = failures = 0
-    for rep in bc.sweep_commutativity(m_max, odd_rank=odd):
+    m_max = chk.get("m_max", 3)
+    total = failures = coordinatewise = 0
+    for rep in bc.sweep_commutativity(m_max, odd_rank=chk.get("odd_rank", False)):
         total += 1
+        coordinatewise += rep.values_equal_as_tuples
         if not rep.weyl_equivalent:
             failures += 1
-    details: dict[str, Any] = {"checked": total, "failures": failures}
+    details: dict[str, Any] = {
+        "checked": total,
+        "failures": failures,
+        # weyl_equivalent short-circuits on coordinatewise equality, so
+        # the orbit comparison decides only the remaining checks.
+        "decided_by": {"coordinatewise": coordinatewise, "weyl_orbit": total - coordinatewise},
+    }
     ok = failures == 0 and total > 0
     if chk.get("witness", True) and m_max >= 2:
         witness = bc.commutativity_check(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cmperiods.basechange import (
     GLSide,
+    QValue,
     USide,
     UnramChar,
     base_change,
@@ -26,10 +28,72 @@ from cmperiods.errors import PreconditionError, SideError
 F = Fraction
 
 values = st.sampled_from(small_value_set())
+nonzero = st.fractions(max_denominator=10**6).filter(lambda r: r != 0)
+exponents = st.integers(-6, 6)
 
 
 def uchar(m, *coords, odd=False):
     return UnramChar(USide(m, odd), tuple(coords))
+
+
+def as_fraction(value):
+    """A QValue as (rational, root power), the pair it denotes."""
+    return Fraction(value.num, value.den), value.k
+
+
+def is_normalized(value):
+    return value.num != 0 and value.den > 0 and math.gcd(value.num, value.den) == 1
+
+
+class TestIntegerValues:
+    @given(nonzero, exponents, nonzero, exponents)
+    def test_matches_fraction_arithmetic(self, r, k, s, l):
+        x, y = qval(r, k), qval(s, l)
+        for got, want in ((x, (r, k)), (x * y, (r * s, k + l)), (x.inv(), (1 / r, -k))):
+            assert as_fraction(got) == want
+            assert is_normalized(got)
+        assert (x == y) == ((r, k) == (s, l))
+        if x == y:
+            assert hash(x) == hash(y)
+        assert x * x.inv() == qval(1)
+
+    def test_equal_rationals_give_equal_values(self):
+        assert qval(Fraction(2, 4)) == qval(Fraction(1, 2))
+        assert hash(qval(Fraction(-6, 4), 1)) == hash(qval(Fraction(3, -2), 1))
+        assert qval(Fraction(1, -2)) == QValue(-1, 2, 0)
+        assert qval(Fraction(-2, 3)).inv() == QValue(-3, 2, 0)
+        assert qval(2) * qval(Fraction(1, 4)) == QValue(1, 2, 0)
+
+    def test_zero_rejected(self):
+        with pytest.raises(PreconditionError):
+            qval(0)
+        with pytest.raises(PreconditionError):
+            UnramChar(USide(1), (QValue(0, 1, 0),))
+
+    def test_sweep_coordinates_match_fraction_oracle(self):
+        def twist(exps, eps):
+            return [(Fraction(eps if (2 * e).numerator % 2 else 1), 0) for e in exps]
+
+        def times(xs, ys):
+            return [(a * b, k + l) for (a, k), (b, l) in zip(xs, ys)]
+
+        def bc(xs):
+            return xs + [(1 / a, -k) for a, k in xs]
+
+        reports = sweep_commutativity(3)
+        for m in range(1, 4):
+            u_exps = [F(2 * m - 1 - 2 * i, 2) for i in range(m)]
+            gl_exps = [F(2 * m - 1 - 2 * i, 2) for i in range(2 * m)]
+            for eps in (1, -1):
+                for combo in itertools.product(small_value_set(), repeat=m):
+                    chi = [as_fraction(c) for c in combo]
+                    lhs = times(bc(chi), twist(gl_exps, eps))
+                    rhs = bc(times(chi, twist(u_exps, eps)))
+                    rep = next(reports)
+                    assert [as_fraction(c) for c in rep.twist_then_bc.coords] == lhs
+                    assert [as_fraction(c) for c in rep.bc_then_twist.coords] == rhs
+                    assert rep.values_equal_as_tuples == (lhs == rhs)
+        assert next(reports, None) is None
 
 
 class TestModulusExponents:

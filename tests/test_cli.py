@@ -7,6 +7,8 @@ from cmperiods.cli import main
 from cmperiods.errors import ScenarioError
 from cmperiods.scenario import emit_report, parse_scenario, run_checks, run_sweeps
 
+DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
+
 MINIMAL = {
     "schema": "cmperiods/scenario-v1",
     "seed": 5,
@@ -75,6 +77,25 @@ class TestParsing:
         payload["schema"] = "other"
         with pytest.raises(ScenarioError, match="schema"):
             parse_scenario(write(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m_max", "x"),
+            ("m_max", 2.7),
+            ("m_max", True),
+            ("m_max", 0),
+            ("odd_rank", "false"),
+            ("witness", 1),
+        ],
+    )
+    def test_malformed_basechange_field(self, tmp_path, capsys, field, value):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["checks"] = [{"id": "bc", "kind": "basechange", field: value}]
+        assert main(["check", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: checks[0]: {field} must be")
 
     def test_float_rational_rejected(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
@@ -191,6 +212,18 @@ class TestMainEntry:
         assert "identities:" in out
 
     def test_demo_scenario_passes(self, capsys):
-        demo = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
-        assert main(["check", str(demo)]) == 0
+        assert main(["check", str(DEMO)]) == 0
         capsys.readouterr()
+
+    def test_demo_report_adds_only_decided_by(self, capsys):
+        # The recorded report predates the decided_by counts; everything
+        # else must stay byte-identical.
+        assert main(["check", str(DEMO)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (bc_check,) = [c for c in report["checks"] if c["kind"] == "basechange"]
+        decided = bc_check["details"].pop("decided_by")
+        assert decided == {"coordinatewise": bc_check["details"]["checked"], "weyl_orbit": 0}
+        recorded = (Path(__file__).parent / "data" / "demo_check_without_decided_by.json").read_text(
+            encoding="utf-8"
+        )
+        assert json.dumps(report, sort_keys=True, indent=2) + "\n" == recorded
