@@ -227,3 +227,8 @@ class TestMainEntry:
             encoding="utf-8"
         )
         assert json.dumps(report, sort_keys=True, indent=2) + "\n" == recorded
+
+    def test_demo_sweep_report_is_recorded(self, capsys):
+        assert main(["sweep", str(DEMO), "--seed", "7"]) == 0
+        recorded = (Path(__file__).parent / "data" / "demo_sweep_seed7.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == recorded
