@@ -76,7 +76,8 @@ def weight_from_arch_params(ap: ArchParams, a0: int = 0) -> WeightParam:
         vals = []
         for i in range(1, n + 1):
             v = -row[n - i] - Fraction(n + 1, 2) + i
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise PreconditionError("parameter parity does not yield an integral weight")
             vals.append(int(v))
         entries[t] = tuple(vals)
     return WeightParam(entries, a0, n)
@@ -258,24 +259,70 @@ class SplitIndexTable:
         return sum(self.rank_1)
 
 
-def split_indices(m: HodgeData, m1: HodgeData, t: str) -> SplitIndexTable:
-    """The table concentrating rank-n mass at the signature count.
+def split_indices(n: int, count: int) -> SplitIndexTable:
+    """The table concentrating rank-n mass at a signature count.
 
-    With c the count from :func:`signature_from_hodge` at ``t``, the rank-n
-    multiplicities are 1 at index c and 0 elsewhere, and the rank-1
-    multiplicities are (n - c, c).
+    With ``count`` the value of :func:`signature_from_hodge` at one place,
+    the rank-n multiplicities are 1 at index ``count`` and 0 elsewhere, and
+    the rank-1 multiplicities are (n - count, count).
     """
-    p1, q1 = m1.pairs[t][0]
-    count = 0
-    for p, _ in m.pairs[t]:
-        val = 2 * p + p1 - q1 - m.weight
-        if val == 0:
-            raise DegenerateInputError(f"vanishing split comparison at {t!r}")
-        if val > 0:
-            count += 1
-    n = m.n
     rank_n = tuple(1 if i == count else 0 for i in range(n + 1))
     return SplitIndexTable(rank_n=rank_n, rank_1=(n - count, count))
+
+
+@dataclass(frozen=True)
+class InstanceAnalysis:
+    """Everything derived from one (rank-n datum, character, kappa) instance.
+
+    Built once by :func:`analyze_instance` and passed to every consumer.
+    The two signature counts come from independent dictionaries and are
+    kept apart so that callers can compare them.
+    """
+
+    ap: ArchParams
+    exp_pairs: dict[str, tuple[int, int]]
+    kappa: int
+    rank_n: HodgeData
+    rank_1: HodgeData
+    tensor: HodgeData
+    exponents: tuple[int, ...]
+    window: CriticalRange
+    admissible: tuple[int, ...]  # critical integers above (2n - kappa)/2
+    counts_arch: dict[str, int]
+    counts_hodge: dict[str, int]
+
+
+def analyze_instance(
+    ap: ArchParams, exp_pairs: dict[str, tuple[int, int]], kappa: int
+) -> InstanceAnalysis:
+    """Hodge data, tensor, critical window, admissible points and both signature counts.
+
+    The signature counts are taken before the window: a middle exponent
+    occurs exactly where a signature comparison vanishes, and that is
+    reported as the vanishing comparison at its place.
+    """
+    rank_n = hodge_from_arch_params(ap)
+    rank_1 = hodge_of_character(ap.model, exp_pairs, kappa)
+    tensor = tensor_hodge(rank_n, rank_1)
+    diffs = {t: m_t - m_bar for t, (m_t, m_bar) in exp_pairs.items()}
+    counts_arch = signature_from_arch(ap, diffs, kappa)
+    counts_hodge = signature_from_hodge(rank_n, rank_1, ap.phi())
+    exponents = hodge_exponents(tensor)
+    window = critical_range(exponents, tensor.weight)
+    threshold = Fraction(2 * ap.n - kappa, 2)
+    return InstanceAnalysis(
+        ap=ap,
+        exp_pairs=exp_pairs,
+        kappa=kappa,
+        rank_n=rank_n,
+        rank_1=rank_1,
+        tensor=tensor,
+        exponents=exponents,
+        window=window,
+        admissible=tuple(m for m in window.points() if m > threshold),
+        counts_arch=counts_arch,
+        counts_hodge=counts_hodge,
+    )
 
 
 @dataclass(frozen=True)
@@ -330,30 +377,20 @@ class CriticalBoundsReport:
     vacuous: bool
 
 
-def critical_points_satisfy_bounds(
-    ap: ArchParams, exp_pairs: dict[str, tuple[int, int]], kappa: int
-) -> CriticalBoundsReport:
+def critical_points_satisfy_bounds(analysis: InstanceAnalysis) -> CriticalBoundsReport:
     """Every critical integer above n - kappa/2 satisfies the evaluation bounds.
 
     The signature is forced from the per-place counts (s = count,
     r = n - count); the critical integers come from the tensor Hodge data
     of the rank-n datum with the rank-1 character datum.
     """
-    n = ap.n
-    diffs = {t: m_t - m_bar for t, (m_t, m_bar) in exp_pairs.items()}
-    counts = signature_from_arch(ap, diffs, kappa)
-    sig = Signature({t: (n - c, c) for t, c in counts.items()}, n)
+    ap, kappa = analysis.ap, analysis.kappa
+    sig = Signature({t: (ap.n - c, c) for t, c in analysis.counts_arch.items()}, ap.n)
     mu = weight_from_arch_params(ap)
-    tensor = tensor_hodge(
-        hodge_from_arch_params(ap), hodge_of_character(ap.model, exp_pairs, kappa)
-    )
-    crit = critical_range(hodge_exponents(tensor), tensor.weight)
-    threshold = Fraction(2 * n - kappa, 2)
-    points = tuple(m for m in crit.points() if m > threshold)
-    pair_map = exp_pairs
+    points = analysis.admissible
     first_violation = None
     for m in points:
-        report = doubling_bounds_check(m, mu, pair_map, kappa, sig)
+        report = doubling_bounds_check(m, mu, analysis.exp_pairs, kappa, sig)
         if not report.ok:
             bad = sorted(
                 t

@@ -14,22 +14,10 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cmfield import CMFieldModel, CMType
 from .errors import NotCriticalError, PreconditionError
-from .hodge import (
-    ArchParams,
-    HodgeData,
-    conjugate_arch_params,
-    critical_range,
-    hodge_exponents,
-    hodge_from_arch_params,
-    hodge_of_character,
-    signature_from_arch,
-    signature_from_hodge,
-    tensor_hodge,
-)
+from .hodge import ArchParams, InstanceAnalysis, analyze_instance, conjugate_arch_params
 from .lattice import IntegerLattice
 
 
@@ -533,10 +521,7 @@ def rankin_lvalue_period(
 
 
 def deligne_period_prediction(
-    model: CMFieldModel,
-    phi: CMType,
-    m_rank_n: HodgeData,
-    m_rank_1: HodgeData,
+    analysis: InstanceAnalysis,
     m_crit: int,
     *,
     rep: str = "Pi",
@@ -549,13 +534,10 @@ def deligne_period_prediction(
     of the critical integer; the minus determinant differs from the plus
     one by the n-th power of the CM-type sign.
     """
-    n = m_rank_n.n
-    d_plus = model.degree_plus
-    tensor = tensor_hodge(m_rank_n, m_rank_1)
-    crit = critical_range(hodge_exponents(tensor), tensor.weight)
-    if m_crit not in crit:
+    if m_crit not in analysis.window:
         raise NotCriticalError(f"{m_crit} is not critical for the tensor datum")
-    counts = signature_from_hodge(m_rank_n, m_rank_1, phi)
+    n = analysis.ap.n
+    d_plus = analysis.ap.model.degree_plus
     vec: dict[PeriodGenerator, int] = {
         TWO_PI_I_HALF: 2 * m_crit * n * d_plus - d_plus * n * (n - 1),
         IMAG_PRODUCT: n // 2,
@@ -563,8 +545,8 @@ def deligne_period_prediction(
     }
     if m_crit % 2 != 0:
         vec[CM_TYPE_SIGN] = n
-    for t in phi.sorted_members():
-        c = counts[t]
+    for t in analysis.ap.phi().sorted_members():
+        c = analysis.counts_hodge[t]
         vec[motivic_q(rep, c, t)] = vec.get(motivic_q(rep, c, t), 0) + 1
         vec[motivic_q(eta_motive, 0, t)] = vec.get(motivic_q(eta_motive, 0, t), 0) + (n - c)
         vec[motivic_q(eta_motive, 1, t)] = vec.get(motivic_q(eta_motive, 1, t), 0) + c
@@ -625,6 +607,11 @@ class ComparatorInstance:
 
     def diffs(self) -> dict[str, int]:
         return {t: a - b for t, (a, b) in self.exp_pairs.items()}
+
+    @functools.cached_property
+    def analysis(self) -> InstanceAnalysis:
+        """The instance's Hodge and critical-point analysis, built on first use."""
+        return analyze_instance(self.ap, self.exp_pairs, self.kappa)
 
     def conjugated(self, g: str) -> "ComparatorInstance":
         """Transport the instance by a group element, re-expressed on the same CM type.
@@ -695,22 +682,14 @@ def compare_automorphic_motivic(
     explicitly, never folded away.  The verdict is equivalence of
     everything else modulo the declared relations.
     """
+    analysis = inst.analysis
     n = inst.ap.n
     model = inst.model
     phi = inst.phi()
     d_plus = model.degree_plus
-    counts_arch = signature_from_arch(inst.ap, inst.diffs(), inst.kappa)
-    m_n = hodge_from_arch_params(inst.ap)
-    m_1 = hodge_of_character(model, inst.exp_pairs, inst.kappa)
-    counts_hodge = signature_from_hodge(m_n, m_1, phi)
-    if counts_arch != counts_hodge:
+    if analysis.counts_arch != analysis.counts_hodge:
         raise PreconditionError("signature counts disagree between the two dictionaries")
-    sig_items = tuple(sorted(counts_arch.items()))
-
-    tensor = tensor_hodge(m_n, m_1)
-    crit = critical_range(hodge_exponents(tensor), tensor.weight)
-    threshold = Fraction(2 * n - inst.kappa, 2)
-    points = [m for m in crit.points() if m > threshold]
+    sig_items = tuple(sorted(analysis.counts_arch.items()))
 
     ctx = RelationContext(
         model=model,
@@ -724,13 +703,11 @@ def compare_automorphic_motivic(
 
     expected_shift = -n * d_plus  # half-unit offset between the two evaluation points
     comparisons = []
-    for m in points:
+    for m in analysis.admissible:
         auto = rankin_lvalue_period(
-            model, phi, n, m, counts_arch, rep=inst.rep, eta_dual=inst.eta_dual
+            model, phi, n, m, analysis.counts_arch, rep=inst.rep, eta_dual=inst.eta_dual
         )
-        mot = deligne_period_prediction(
-            model, phi, m_n, m_1, m, rep=inst.rep, eta_motive=inst.eta_motive
-        )
+        mot = deligne_period_prediction(analysis, m, rep=inst.rep, eta_motive=inst.eta_motive)
         diff = mono_mul(auto, mono_inv(mot))
         observed = diff.exponent(TWO_PI_I_HALF)
         adjusted = mono_mul(diff, mono((TWO_PI_I_HALF, -expected_shift)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from typing import Any
 
@@ -31,17 +32,7 @@ from .cmfield import (
 )
 from .errors import CMPeriodsError, ScenarioError
 from .hecke import InfinityType, conjugate_infinity_type
-from .hodge import (
-    ArchParams,
-    critical_range,
-    hodge_exponents,
-    hodge_from_arch_params,
-    hodge_of_character,
-    signature_from_arch,
-    signature_from_hodge,
-    split_indices,
-    tensor_hodge,
-)
+from .hodge import ArchParams, split_indices
 from .periods import (
     ComparatorInstance,
     Level,
@@ -65,6 +56,7 @@ from .weights import (
     doubling_weight,
     is_block_dominant,
     is_dominant,
+    sharp_dual_composite,
     sharp_dual_weight,
 )
 
@@ -109,6 +101,9 @@ class Scenario:
     characters: dict[str, dict]
     checks: list[dict]
     options: Options
+    # One instance per (arch, character) pair, so checks on the same pair
+    # share its analysis.
+    instances: dict[tuple[str, str], ComparatorInstance] = field(default_factory=dict)
 
 
 def _fraction(value: Any, where: str) -> Fraction:
@@ -144,13 +139,43 @@ def _parse_model(spec: dict) -> CMFieldModel:
         raise ScenarioError(f"field_model is missing key {exc}") from exc
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_basechange_fields(chk: dict, where: str) -> None:
     m_max = chk.get("m_max", 3)
-    if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 1:
+    if not _is_int(m_max) or m_max < 1:
         raise ScenarioError(f"{where}: m_max must be an integer >= 1, got {m_max!r}")
     for flag in ("odd_rank", "witness"):
         if flag in chk and not isinstance(chk[flag], bool):
             raise ScenarioError(f"{where}: {flag} must be true or false, got {chk[flag]!r}")
+
+
+# Per check kind: the fields naming a scenario entry, with the block that
+# must define it, and the optional fields that must be integers.
+_INSTANCE_REFS = (("arch", "arch_params"), ("character", "characters"))
+_CHECK_REFS = {
+    "critical": _INSTANCE_REFS,
+    "signature": _INSTANCE_REFS,
+    "compare": _INSTANCE_REFS,
+    "weights": (("weight", "weights"), ("infinity_type", "infinity_types"), ("signature", "signatures")),
+}
+_INT_FIELDS = {
+    "lemma_d": ("n_max", "kappa_max", "d_max", "m_extra"),
+    "compare": ("a0",),
+    "weights": ("kappa",),
+}
+
+
+def _check_fields(chk: dict, where: str, blocks: dict[str, dict]) -> None:
+    for name, block in _CHECK_REFS.get(chk["kind"], ()):
+        ref = chk.get(name)
+        if not isinstance(ref, str) or ref not in blocks[block]:
+            raise ScenarioError(f"{where}: {name} must be a name defined in {block}, got {ref!r}")
+    for name in _INT_FIELDS.get(chk["kind"], ()):
+        if name in chk and not _is_int(chk[name]):
+            raise ScenarioError(f"{where}: {name} must be an integer, got {chk[name]!r}")
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -234,6 +259,13 @@ def parse_scenario(path: str) -> Scenario:
         if options.d_exponent not in ("thm", "intro"):
             raise ScenarioError(f"d_exponent must be 'thm' or 'intro', got {options.d_exponent!r}")
 
+        blocks = {
+            "arch_params": arch_params,
+            "characters": characters,
+            "weights": weight_params,
+            "infinity_types": infinity_types,
+            "signatures": signatures,
+        }
         checks = []
         for idx, chk in enumerate(raw.get("checks", [])):
             kind = chk.get("kind")
@@ -241,6 +273,7 @@ def parse_scenario(path: str) -> Scenario:
                 raise ScenarioError(f"checks[{idx}]: unknown kind {kind!r}")
             if kind == "basechange":
                 _check_basechange_fields(chk, f"checks[{idx}]")
+            _check_fields(chk, f"checks[{idx}]", blocks)
             entry = dict(chk)
             entry.setdefault("id", f"{kind}-{idx}")
             checks.append(entry)
@@ -315,21 +348,25 @@ def _mono_dict(mono) -> dict[str, int]:
 
 
 def _instance_for(scn: Scenario, chk: dict) -> ComparatorInstance:
-    arch = scn.arch_params[chk["arch"]]
-    char = scn.characters[chk["character"]]
-    return ComparatorInstance(ap=arch, exp_pairs=char["pairs"], kappa=char["kappa"])
+    key = (chk["arch"], chk["character"])
+    if key not in scn.instances:
+        char = scn.characters[chk["character"]]
+        scn.instances[key] = ComparatorInstance(
+            ap=scn.arch_params[chk["arch"]], exp_pairs=char["pairs"], kappa=char["kappa"]
+        )
+    return scn.instances[key]
 
 
-def _run_critical(scn: Scenario, chk: dict) -> CheckResult:
-    inst = _instance_for(scn, chk)
-    tensor = tensor_hodge(
-        hodge_from_arch_params(inst.ap),
-        hodge_of_character(inst.model, inst.exp_pairs, inst.kappa),
-    )
-    crit = critical_range(hodge_exponents(tensor), tensor.weight)
+# A check runner returns (status, details, identity tags).
+Outcome = tuple[str, dict, tuple[str, ...]]
+
+
+def _run_critical(scn: Scenario, chk: dict) -> Outcome:
+    analysis = _instance_for(scn, chk).analysis
+    crit = analysis.window
     details = {
-        "exponents": list(hodge_exponents(tensor)),
-        "weight": tensor.weight,
+        "exponents": list(analysis.exponents),
+        "weight": analysis.tensor.weight,
         "range": [crit.lo, crit.hi],
         "points": list(crit.points()),
     }
@@ -337,35 +374,30 @@ def _run_critical(scn: Scenario, chk: dict) -> CheckResult:
     if "expect" in chk and list(chk["expect"]) != [crit.lo, crit.hi]:
         status = "fail"
         details["expected"] = list(chk["expect"])
-    return CheckResult(chk["id"], "critical", status, details, ("critical-window",))
+    return status, details, ("critical-window",)
 
 
-def _run_signature(scn: Scenario, chk: dict) -> CheckResult:
-    inst = _instance_for(scn, chk)
-    counts_arch = signature_from_arch(inst.ap, inst.diffs(), inst.kappa)
-    m_n = hodge_from_arch_params(inst.ap)
-    m_1 = hodge_of_character(inst.model, inst.exp_pairs, inst.kappa)
-    counts_hodge = signature_from_hodge(m_n, m_1, inst.phi())
+def _run_signature(scn: Scenario, chk: dict) -> Outcome:
+    analysis = _instance_for(scn, chk).analysis
+    n = analysis.ap.n
     split_ok = True
-    for t in inst.phi().sorted_members():
-        table = split_indices(m_n, m_1, t)
-        if table.rank_n_sum != 1 or table.rank_1_sum != inst.ap.n:
+    for t in analysis.ap.phi().sorted_members():
+        table = split_indices(n, analysis.counts_hodge[t])
+        if table.rank_n_sum != 1 or table.rank_1_sum != n:
             split_ok = False
-    ok = counts_arch == counts_hodge and split_ok
-    return CheckResult(
-        chk["id"],
-        "signature",
+    ok = analysis.counts_arch == analysis.counts_hodge and split_ok
+    return (
         "pass" if ok else "fail",
         {
-            "arch_counts": counts_arch,
-            "hodge_counts": counts_hodge,
+            "arch_counts": analysis.counts_arch,
+            "hodge_counts": analysis.counts_hodge,
             "split_sums_ok": split_ok,
         },
         ("signature-dictionary", "split-index-table"),
     )
 
 
-def _run_weights(scn: Scenario, chk: dict) -> CheckResult:
+def _run_weights(scn: Scenario, chk: dict) -> Outcome:
     mu = scn.weights[chk["weight"]]
     psi = scn.infinity_types[chk["infinity_type"]]
     sig = scn.signatures[chk["signature"]]
@@ -374,9 +406,9 @@ def _run_weights(scn: Scenario, chk: dict) -> CheckResult:
     if ok:
         lam = doubling_weight(mu, psi, sig)
         details["doubling_block_dominant"] = is_block_dominant(lam, sig)
-        ok = ok and details["doubling_block_dominant"]
-        sharp_dual_weight(mu, int(chk.get("kappa", 0)))  # asserts its two construction paths agree
-        details["sharp_paths_agree"] = True
+        kappa = chk.get("kappa", 0)
+        details["sharp_paths_agree"] = sharp_dual_weight(mu, kappa) == sharp_dual_composite(mu, kappa)
+        ok = details["doubling_block_dominant"] and details["sharp_paths_agree"]
         equiv_fail = []
         for g in sorted(scn.model.group):
             lhs = doubling_weight(
@@ -388,20 +420,18 @@ def _run_weights(scn: Scenario, chk: dict) -> CheckResult:
                 equiv_fail.append(g)
         details["equivariance_failures"] = equiv_fail
         ok = ok and not equiv_fail
-    return CheckResult(
-        chk["id"],
-        "weights",
+    return (
         "pass" if ok else "fail",
         details,
         ("doubling-parameter", "sharp-dual-construction", "conjugation-equivariance"),
     )
 
 
-def _run_lemma_d(scn: Scenario, chk: dict) -> CheckResult:
-    n_max = int(chk.get("n_max", 12))
-    kappa_max = int(chk.get("kappa_max", 4))
-    d_max = int(chk.get("d_max", 3))
-    m_extra = int(chk.get("m_extra", 6))
+def _run_lemma_d(scn: Scenario, chk: dict) -> Outcome:
+    n_max = chk.get("n_max", 12)
+    kappa_max = chk.get("kappa_max", 4)
+    d_max = chk.get("d_max", 3)
+    m_extra = chk.get("m_extra", 6)
     checked = 0
     mismatches = []
     for n in range(1, n_max + 1):
@@ -414,17 +444,14 @@ def _run_lemma_d(scn: Scenario, chk: dict) -> CheckResult:
                     checked += 1
                     if closed != product:
                         mismatches.append([n, m, kappa, d])
-    status = "pass" if checked and not mismatches else "fail"
-    return CheckResult(
-        chk["id"],
-        "lemma_d",
-        status,
+    return (
+        "pass" if checked and not mismatches else "fail",
         {"checked": checked, "mismatches": mismatches},
         ("normalizing-factor-closed-form", "finite-order-period-factorization"),
     )
 
 
-def _run_compare(scn: Scenario, chk: dict) -> CheckResult:
+def _run_compare(scn: Scenario, chk: dict) -> Outcome:
     inst = _instance_for(scn, chk)
     level = scn.options.level_enum()
     tate = scn.options.tate_enabled()
@@ -444,7 +471,7 @@ def _run_compare(scn: Scenario, chk: dict) -> CheckResult:
         n=inst.ap.n,
         m=max((p.m for p in report.points), default=inst.ap.n + 1),
         d_plus=inst.model.degree_plus,
-        a0=int(chk.get("a0", 0)),
+        a0=chk.get("a0", 0),
         variant=scn.options.d_exponent,
         level=level,
     )
@@ -460,16 +487,10 @@ def _run_compare(scn: Scenario, chk: dict) -> CheckResult:
             "residual": _mono_dict(aux.residual),
         },
     }
-    return CheckResult(
-        chk["id"],
-        "compare",
-        "pass" if report.all_equivalent else "fail",
-        details,
-        report.identity_tags,
-    )
+    return "pass" if report.all_equivalent else "fail", details, report.identity_tags
 
 
-def _run_basechange(scn: Scenario, chk: dict) -> CheckResult:
+def _run_basechange(scn: Scenario, chk: dict) -> Outcome:
     m_max = chk.get("m_max", 3)
     total = failures = coordinatewise = 0
     for rep in bc.sweep_commutativity(m_max, odd_rank=chk.get("odd_rank", False)):
@@ -497,16 +518,14 @@ def _run_basechange(scn: Scenario, chk: dict) -> CheckResult:
             "weyl_equivalent": witness.weyl_equivalent,
         }
         ok = ok and (not witness.patterns_equal_as_tuples) and witness.patterns_weyl_equivalent
-    return CheckResult(
-        chk["id"],
-        "basechange",
+    return (
         "pass" if ok else "fail",
         details,
         ("modulus-half-exponents", "base-change-on-satake-data", "twist-commutativity"),
     )
 
 
-def _run_ephi(scn: Scenario, chk: dict) -> CheckResult:
+def _run_ephi(scn: Scenario, chk: dict) -> Outcome:
     family = scn.family if scn.family is not None else regular_family(scn.model)
     details: dict[str, Any] = {}
     failures = []
@@ -523,9 +542,7 @@ def _run_ephi(scn: Scenario, chk: dict) -> CheckResult:
             details["stabilizer"] = sorted(stab)
     details["cm_types_checked"] = 2 ** scn.model.degree_plus
     details["failures"] = failures
-    return CheckResult(
-        chk["id"],
-        "ephi",
+    return (
         "pass" if not failures else "fail",
         details,
         ("displacement-sign-family", "stabilizer-invariance"),
@@ -543,23 +560,20 @@ _CHECK_RUNNERS = {
 }
 
 
-def run_checks(scn: Scenario) -> Report:
-    """Execute the scenario's checks in declaration order.
+def _report(scn: Scenario, jobs, **options) -> Report:
+    """Run ``(id, kind, job)`` triples in order, each job returning an outcome.
 
-    A check that raises is recorded as an error with the exception text;
-    it never aborts the batch or contaminates the other checks.
+    A job that raises is recorded as an error with the exception's type and
+    text; it never aborts the batch or contaminates the other results.
     """
     started = time.perf_counter()
     results = []
-    for chk in scn.checks:
-        runner = _CHECK_RUNNERS[chk["kind"]]
+    for check_id, kind, job in jobs:
         try:
-            results.append(runner(scn, chk))
-        except CMPeriodsError as exc:
+            results.append(CheckResult(check_id, kind, *job()))
+        except Exception as exc:  # the batch outlives any one broken check
             results.append(
-                CheckResult(
-                    chk["id"], chk["kind"], "error", {"error": f"{type(exc).__name__}: {exc}"}
-                )
+                CheckResult(check_id, kind, "error", {"error": f"{type(exc).__name__}: {exc}"})
             )
     return Report(
         schema=REPORT_SCHEMA,
@@ -568,61 +582,51 @@ def run_checks(scn: Scenario) -> Report:
             "level": scn.options.level,
             "tate": scn.options.tate,
             "d_exponent": scn.options.d_exponent,
+            **options,
         },
         results=results,
         elapsed=time.perf_counter() - started,
     )
 
 
+def run_checks(scn: Scenario) -> Report:
+    """Execute the scenario's checks in declaration order."""
+    return _report(
+        scn,
+        [(chk["id"], chk["kind"], partial(_CHECK_RUNNERS[chk["kind"]], scn, chk)) for chk in scn.checks],
+    )
+
+
+def _sweep_outcome(name: str, sweep) -> Outcome:
+    stats = sweep()
+    details = {
+        "instances": stats.instances,
+        "points_checked": stats.points_checked,
+        "vacuous": stats.vacuous,
+        "failures": stats.failures[:20],
+    }
+    return "pass" if stats.ok else "fail", details, (f"sweep:{name}",)
+
+
 def run_sweeps(scn: Scenario) -> Report:
     """Randomized property sweeps driven by the scenario's seed and bounds."""
-    started = time.perf_counter()
     seed = scn.options.seed
     count = scn.options.sweep_count
     bounds = scn.options.sweep
     level = scn.options.level_enum()
     tate = scn.options.tate_enabled()
     sweeps = [
-        ("compare", lambda: run_compare_sweep(seed, count, bounds, level, tate)),
-        ("bounds", lambda: run_bounds_sweep(seed + 1, count, bounds)),
-        ("signature", lambda: run_signature_sweep(seed + 2, count, bounds)),
-        ("dominance", lambda: run_dominance_sweep(seed + 3, count)),
-        ("equivariance", lambda: run_equivariance_sweep(seed + 4, max(1, count // 10), bounds, level, tate)),
+        ("compare", partial(run_compare_sweep, seed, count, bounds, level, tate)),
+        ("bounds", partial(run_bounds_sweep, seed + 1, count, bounds)),
+        ("signature", partial(run_signature_sweep, seed + 2, count, bounds)),
+        ("dominance", partial(run_dominance_sweep, seed + 3, count)),
+        ("equivariance", partial(run_equivariance_sweep, seed + 4, max(1, count // 10), bounds, level, tate)),
     ]
-    results = []
-    for name, runner in sweeps:
-        try:
-            stats = runner()
-            results.append(
-                CheckResult(
-                    f"sweep-{name}",
-                    name if name in CHECK_KINDS else "compare",
-                    "pass" if stats.ok else "fail",
-                    {
-                        "instances": stats.instances,
-                        "points_checked": stats.points_checked,
-                        "vacuous": stats.vacuous,
-                        "failures": stats.failures[:20],
-                    },
-                    (f"sweep:{name}",),
-                )
-            )
-        except CMPeriodsError as exc:
-            results.append(
-                CheckResult(f"sweep-{name}", "compare", "error", {"error": str(exc)})
-            )
-    return Report(
-        schema=REPORT_SCHEMA,
-        seed=seed,
-        options={
-            "level": scn.options.level,
-            "tate": scn.options.tate,
-            "d_exponent": scn.options.d_exponent,
-            "count": count,
-        },
-        results=results,
-        elapsed=time.perf_counter() - started,
-    )
+    jobs = [
+        (f"sweep-{name}", name if name in CHECK_KINDS else "compare", partial(_sweep_outcome, name, sweep))
+        for name, sweep in sweeps
+    ]
+    return _report(scn, jobs, count=count)
 
 
 def emit_report(report: Report, fmt: str = "structured") -> str:

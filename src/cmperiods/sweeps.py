@@ -1,7 +1,7 @@
 """Seeded randomized sweeps over regular instances.
 
-Shared by the command-line ``sweep`` subcommand, the experiment scripts,
-and the acceptance suite.  Every sweep is driven by an explicit seed and
+Shared by the command-line ``sweep`` subcommand and the acceptance
+suite.  Every sweep is driven by an explicit seed and
 returns a small stats object, so runs are reproducible byte for byte.
 """
 
@@ -13,17 +13,7 @@ from fractions import Fraction
 
 from .cmfield import CMFieldModel, cyclic_model
 from .hecke import InfinityType, conjugate_infinity_type
-from .hodge import (
-    ArchParams,
-    critical_points_satisfy_bounds,
-    hodge_from_arch_params,
-    hodge_of_character,
-    hodge_exponents,
-    signature_from_arch,
-    signature_from_hodge,
-    split_indices,
-    tensor_hodge,
-)
+from .hodge import ArchParams, critical_points_satisfy_bounds, split_indices
 from .periods import ComparatorInstance, Level, compare_automorphic_motivic
 from .weights import (
     Signature,
@@ -136,7 +126,7 @@ def run_bounds_sweep(
     stats = SweepStats()
     for _ in range(count):
         inst = random_instance(rng, bounds)
-        report = critical_points_satisfy_bounds(inst.ap, inst.exp_pairs, inst.kappa)
+        report = critical_points_satisfy_bounds(inst.analysis)
         stats.instances += 1
         stats.points_checked += len(report.points_checked)
         if report.vacuous:
@@ -155,16 +145,12 @@ def run_signature_sweep(
     for _ in range(count):
         inst = random_instance(rng, bounds)
         stats.instances += 1
-        diffs = inst.diffs()
-        counts_arch = signature_from_arch(inst.ap, diffs, inst.kappa)
-        m_n = hodge_from_arch_params(inst.ap)
-        m_1 = hodge_of_character(inst.model, inst.exp_pairs, inst.kappa)
-        counts_hodge = signature_from_hodge(m_n, m_1, inst.phi())
+        counts_arch, counts_hodge = inst.analysis.counts_arch, inst.analysis.counts_hodge
         if counts_arch != counts_hodge:
             stats.failures.append(f"signature mismatch {counts_arch} vs {counts_hodge}")
             continue
         for t in inst.phi().sorted_members():
-            table = split_indices(m_n, m_1, t)
+            table = split_indices(inst.ap.n, counts_hodge[t])
             if table.rank_n_sum != 1 or table.rank_1_sum != inst.ap.n:
                 stats.failures.append(f"split sums violated at {t}")
             if table.rank_n[counts_hodge[t]] != 1:
@@ -233,22 +219,10 @@ def run_equivariance_sweep(
         inst = random_instance(rng, bounds)
         model = inst.model
         base = compare_automorphic_motivic(inst, level=level, tate=tate)
-        base_exps = hodge_exponents(
-            tensor_hodge(
-                hodge_from_arch_params(inst.ap),
-                hodge_of_character(model, inst.exp_pairs, inst.kappa),
-            )
-        )
         stats.instances += 1
         for g in sorted(model.group):
             conj = inst.conjugated(g)
-            conj_exps = hodge_exponents(
-                tensor_hodge(
-                    hodge_from_arch_params(conj.ap),
-                    hodge_of_character(model, conj.exp_pairs, conj.kappa),
-                )
-            )
-            if conj_exps != base_exps:
+            if conj.analysis.exponents != inst.analysis.exponents:
                 stats.failures.append(f"exponent set moved under {g}")
                 continue
             report = compare_automorphic_motivic(conj, level=level, tate=tate)

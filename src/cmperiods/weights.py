@@ -25,6 +25,7 @@ __all__ = [
     "det_twist",
     "similitude_twist",
     "sharp_dual_weight",
+    "sharp_dual_composite",
     "character_twist_weight",
     "line_bundle_weight",
     "extend_weight",
@@ -157,11 +158,10 @@ def similitude_twist(w: WeightParam, k: int) -> WeightParam:
 def sharp_dual_weight(w: WeightParam, kappa: int) -> WeightParam:
     """Rank-2n parameter (a_{t,1},...,a_{t,n}, -a_{t,n}-kappa,...,-a_{t,1}-kappa; 0).
 
-    Computed by the explicit formula and, independently, as the composite
-    sharp_pair(w, det_twist(dual_weight(w), -kappa)) followed by a
-    similitude twist by kappa.  The two constructions must agree exactly.
+    Computed by the explicit formula; :func:`sharp_dual_composite` builds
+    the same parameter independently, and the two must agree exactly.
     """
-    explicit = WeightParam(
+    return WeightParam(
         {
             t: row + tuple(-a - kappa for a in reversed(row))
             for t, row in w.entries.items()
@@ -169,9 +169,12 @@ def sharp_dual_weight(w: WeightParam, kappa: int) -> WeightParam:
         0,
         2 * w.n,
     )
-    composed = similitude_twist(sharp_pair(w, det_twist(dual_weight(w), -kappa)), kappa)
-    assert explicit == composed
-    return explicit
+
+
+def sharp_dual_composite(w: WeightParam, kappa: int) -> WeightParam:
+    """The sharp-dual parameter as sharp_pair(w, det_twist(dual_weight(w), -kappa))
+    followed by a similitude twist by kappa."""
+    return similitude_twist(sharp_pair(w, det_twist(dual_weight(w), -kappa)), kappa)
 
 
 def character_twist_weight(psi, n: int, phi: CMType) -> WeightParam:

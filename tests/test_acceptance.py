@@ -161,8 +161,9 @@ def test_criterion_05_split_index_sums(instance_sweep):
     for inst in instance_sweep:
         m_n = hodge_from_arch_params(inst.ap)
         m_1 = hodge_of_character(inst.model, inst.exp_pairs, inst.kappa)
+        counts = signature_from_hodge(m_n, m_1, inst.phi())
         for t in inst.phi().sorted_members():
-            table = split_indices(m_n, m_1, t)
+            table = split_indices(inst.ap.n, counts[t])
             assert table.rank_n_sum == 1
             assert table.rank_1_sum == inst.ap.n
             places += 1

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from cmperiods import scenario
 from cmperiods.cli import main
 from cmperiods.errors import ScenarioError
 from cmperiods.scenario import emit_report, parse_scenario, run_checks, run_sweeps
+from cmperiods.weights import similitude_twist
 
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 
@@ -21,6 +26,13 @@ MINIMAL = {
         {"id": "sig", "kind": "signature", "arch": "Pi", "character": "eta"},
         {"id": "cmp", "kind": "compare", "arch": "Pi", "character": "eta"},
     ],
+}
+
+# Entries a weights check can name, for tests that add one to MINIMAL.
+WEIGHT_ENTRIES = {
+    "weights": {"mu": {"n": 1, "a0": 0, "entries": {"t1": [0]}}},
+    "infinity_types": {"psi": {"t1": 0, "c1": 0}},
+    "signatures": {"sig": {"n": 1, "pairs": {"t1": [1, 0]}}},
 }
 
 
@@ -87,11 +99,36 @@ class TestParsing:
             ("m_max", 0),
             ("odd_rank", "false"),
             ("witness", 1),
+            ("n_max", "x"),
+            ("kappa_max", True),
+            ("d_max", 1.5),
+            ("m_extra", "6"),
+            ("a0", False),
+            ("kappa", "1"),
+            ("arch", "nope"),
+            ("character", "nope"),
+            ("weight", "nope"),
+            ("infinity_type", ["mu"]),
+            ("signature", None),
         ],
     )
     def test_malformed_basechange_field(self, tmp_path, capsys, field, value):
+        # Despite the name, covers every validated check field: each value
+        # spoils an otherwise valid check of the kind that reads the field.
+        valid = {
+            "basechange": {"kind": "basechange"},
+            "lemma_d": {"kind": "lemma_d"},
+            "compare": {"kind": "compare", "arch": "Pi", "character": "eta"},
+            "weights": {"kind": "weights", "weight": "mu", "infinity_type": "psi", "signature": "sig"},
+        }
+        kind = {
+            "n_max": "lemma_d", "kappa_max": "lemma_d", "d_max": "lemma_d", "m_extra": "lemma_d",
+            "a0": "compare", "arch": "compare", "character": "compare",
+            "kappa": "weights", "weight": "weights", "infinity_type": "weights", "signature": "weights",
+        }.get(field, "basechange")
         payload = json.loads(json.dumps(MINIMAL))
-        payload["checks"] = [{"id": "bc", "kind": "basechange", field: value}]
+        payload.update(WEIGHT_ENTRIES)
+        payload["checks"] = [dict(valid[kind], id="chk", **{field: value})]
         assert main(["check", write(tmp_path, payload)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -145,6 +182,28 @@ class TestReports:
         for cid in ("crit", "sig", "cmp"):
             assert mixed[cid].status == solo[cid].status
             assert mixed[cid].details == solo[cid].details
+
+    def test_unexpected_exception_recorded(self, tmp_path):
+        # A non-list "expect" makes the critical check raise TypeError; the
+        # error is recorded with its type and the next check still runs.
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["checks"][0]["expect"] = 5
+        report = run_checks(parse_scenario(write(tmp_path, payload)))
+        by_id = {r.check_id: r for r in report.results}
+        assert by_id["crit"].status == "error"
+        assert by_id["crit"].details["error"].startswith("TypeError: ")
+        assert by_id["sig"].status == "pass" and by_id["cmp"].status == "pass"
+
+    def test_sharp_paths_compared(self, tmp_path, monkeypatch):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload.update(WEIGHT_ENTRIES)
+        payload["checks"] = [{"id": "w", "kind": "weights", "weight": "mu", "infinity_type": "psi", "signature": "sig"}]
+        scn = parse_scenario(write(tmp_path, payload))
+        (ok,) = run_checks(scn).results
+        assert ok.status == "pass" and ok.details["sharp_paths_agree"] is True
+        monkeypatch.setattr(scenario, "sharp_dual_composite", lambda w, kappa: similitude_twist(w, 1))
+        (broken,) = run_checks(scn).results
+        assert broken.status == "fail" and broken.details["sharp_paths_agree"] is False
 
     def test_check_error_captured(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
@@ -227,6 +286,14 @@ class TestMainEntry:
             encoding="utf-8"
         )
         assert json.dumps(report, sort_keys=True, indent=2) + "\n" == recorded
+
+    def test_demo_report_unchanged_under_optimize(self):
+        # Under -O every assert is stripped; the report must not depend on one.
+        env = dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src"))
+        cmd = ["-m", "cmperiods", "check", str(DEMO)]
+        plain = subprocess.run([sys.executable, *cmd], capture_output=True, env=env, check=True)
+        optimized = subprocess.run([sys.executable, "-O", *cmd], capture_output=True, env=env, check=True)
+        assert optimized.stdout == plain.stdout
 
     def test_demo_sweep_report_is_recorded(self, capsys):
         assert main(["sweep", str(DEMO), "--seed", "7"]) == 0

@@ -11,6 +11,7 @@ from cmperiods.errors import (
 )
 from cmperiods.hodge import (
     ArchParams,
+    analyze_instance,
     archimedean_params,
     conjugate_arch_params,
     critical_points_satisfy_bounds,
@@ -29,6 +30,7 @@ from cmperiods.sweeps import random_instance
 from cmperiods.weights import Signature, WeightParam
 
 ONE_PAIR = cyclic_model(1)
+PHI1 = ONE_PAIR.canonical_cm_type()
 HALF = Fraction(1, 2)
 
 
@@ -215,7 +217,7 @@ class TestSplitIndices:
         ap = arch(ONE_PAIR, 2, t1=(HALF, -HALF))
         m_n = hodge_from_arch_params(ap)
         m_1 = hodge_of_character(ONE_PAIR, {"t1": (0, 0)}, 0)
-        table = split_indices(m_n, m_1, "t1")
+        table = split_indices(2, signature_from_hodge(m_n, m_1, PHI1)["t1"])
         assert table.rank_n == (0, 1, 0)
         assert table.rank_1 == (1, 1)
 
@@ -223,7 +225,7 @@ class TestSplitIndices:
         ap = arch(ONE_PAIR, 2, t1=(Fraction(11, 2), Fraction(9, 2)))
         m_n = hodge_from_arch_params(ap)
         m_1 = hodge_of_character(ONE_PAIR, {"t1": (0, 0)}, 0)
-        table = split_indices(m_n, m_1, "t1")
+        table = split_indices(2, signature_from_hodge(m_n, m_1, PHI1)["t1"])
         assert table.rank_n == (1, 0, 0)
         assert table.rank_1 == (2, 0)
 
@@ -232,8 +234,9 @@ class TestSplitIndices:
         for _ in range(200):
             inst = random_instance(rng)
             m_n, m_1 = self.build(inst)
+            counts = signature_from_hodge(m_n, m_1, inst.phi())
             for t in inst.phi().sorted_members():
-                table = split_indices(m_n, m_1, t)
+                table = split_indices(inst.ap.n, counts[t])
                 assert table.rank_n_sum == 1
                 assert table.rank_1_sum == inst.ap.n
 
@@ -300,11 +303,11 @@ class TestCriticalPointsSatisfyBounds:
 
         for _ in range(100):
             inst = random_instance(rng, SweepBounds(n_max=1))
-            assert critical_points_satisfy_bounds(inst.ap, inst.exp_pairs, inst.kappa).ok
+            assert critical_points_satisfy_bounds(inst.analysis).ok
 
     def test_vacuous_small_case(self):
         ap = arch(ONE_PAIR, 2, t1=(HALF, -HALF))
-        report = critical_points_satisfy_bounds(ap, {"t1": (0, 0)}, 0)
+        report = critical_points_satisfy_bounds(analyze_instance(ap, {"t1": (0, 0)}, 0))
         assert report.ok and report.vacuous
 
     def test_sweep_with_independent_oracle(self):
@@ -312,7 +315,7 @@ class TestCriticalPointsSatisfyBounds:
         nonvacuous = 0
         for _ in range(400):
             inst = random_instance(rng)
-            report = critical_points_satisfy_bounds(inst.ap, inst.exp_pairs, inst.kappa)
+            report = critical_points_satisfy_bounds(inst.analysis)
             assert report.ok, report
             counts = signature_from_arch(inst.ap, inst.diffs(), inst.kappa)
             tensor = tensor_hodge(
@@ -325,6 +328,30 @@ class TestCriticalPointsSatisfyBounds:
                     nonvacuous += 1
                     assert oracle_bounds_ok(m, inst.ap, inst.exp_pairs, inst.kappa, counts)
         assert nonvacuous > 100
+
+
+class TestInstanceAnalysis:
+    def test_matches_the_chain(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            inst = random_instance(rng)
+            a = analyze_instance(inst.ap, inst.exp_pairs, inst.kappa)
+            m_n = hodge_from_arch_params(inst.ap)
+            m_1 = hodge_of_character(inst.model, inst.exp_pairs, inst.kappa)
+            tensor = tensor_hodge(m_n, m_1)
+            crit = critical_range(hodge_exponents(tensor), tensor.weight)
+            assert (a.rank_n, a.rank_1, a.tensor, a.window) == (m_n, m_1, tensor, crit)
+            assert a.exponents == hodge_exponents(tensor)
+            assert a.admissible == tuple(m for m in crit.points() if 2 * m > 2 * inst.ap.n - inst.kappa)
+            assert a.counts_arch == signature_from_arch(inst.ap, inst.diffs(), inst.kappa)
+            assert a.counts_hodge == signature_from_hodge(m_n, m_1, inst.phi())
+
+    def test_degenerate_instance_names_the_place(self):
+        # 2*diff - kappa + 2A = 2*2 - 0 + 2*(-2) = 0: the middle exponent
+        # occurs too, and the vanishing comparison is what gets reported.
+        ap = arch(ONE_PAIR, 1, t1=(-2,))
+        with pytest.raises(DegenerateInputError, match="t1"):
+            analyze_instance(ap, {"t1": (1, -1)}, 0)
 
 
 class TestConjugateArchParams:
@@ -355,5 +382,5 @@ class TestCharacterSplitIntegration:
         p, q = h.pairs["t1"][0]
         assert p + q == 5
         ap = arch(model, 2, t1=(Fraction(17, 2), Fraction(3, 2)))
-        report = critical_points_satisfy_bounds(ap, split.psi.pairs_on(phi), split.kappa)
+        report = critical_points_satisfy_bounds(analyze_instance(ap, split.psi.pairs_on(phi), split.kappa))
         assert report.ok

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cmperiods.cmfield import CMType, cyclic_model
 from cmperiods.errors import NotCriticalError
-from cmperiods.hodge import ArchParams, hodge_from_arch_params, hodge_of_character
+from cmperiods.hodge import ArchParams
 from cmperiods.periods import (
     CM_TYPE_SIGN,
     D_HALF,
@@ -259,11 +259,9 @@ class TestAssemblies:
         return ComparatorInstance(ap=ap, exp_pairs={"t1": (1, -1)}, kappa=1)
 
     def test_deligne_parity_branches(self):
-        inst = self.n1_instance()
-        m_n = hodge_from_arch_params(inst.ap)
-        m_1 = hodge_of_character(ONE_PAIR, inst.exp_pairs, inst.kappa)
-        even = deligne_period_prediction(ONE_PAIR, PHI1, m_n, m_1, 2)
-        odd = deligne_period_prediction(ONE_PAIR, PHI1, m_n, m_1, 3)
+        analysis = self.n1_instance().analysis
+        even = deligne_period_prediction(analysis, 2)
+        odd = deligne_period_prediction(analysis, 3)
         assert even.exponent(CM_TYPE_SIGN) == 0
         assert odd.exponent(CM_TYPE_SIGN) == 1
         assert even.exponent(motivic_q("Pi", 0, "t1")) == 1
@@ -271,11 +269,8 @@ class TestAssemblies:
         assert even.exponent(motivic_q("eta", 1, "t1")) == 0
 
     def test_deligne_rejects_noncritical_point(self):
-        inst = self.n1_instance()
-        m_n = hodge_from_arch_params(inst.ap)
-        m_1 = hodge_of_character(ONE_PAIR, inst.exp_pairs, inst.kappa)
         with pytest.raises(NotCriticalError):
-            deligne_period_prediction(ONE_PAIR, PHI1, m_n, m_1, 4)
+            deligne_period_prediction(self.n1_instance().analysis, 4)
 
 
 class TestComparator:
@@ -299,13 +294,7 @@ class TestComparator:
                 auto_period("Pi", (("t1", 0),)): 1,
                 cm_period("eta-dual", "c1"): 1,
             }
-            mot = deligne_period_prediction(
-                ONE_PAIR,
-                PHI1,
-                hodge_from_arch_params(inst.ap),
-                hodge_of_character(ONE_PAIR, inst.exp_pairs, inst.kappa),
-                m,
-            )
+            mot = deligne_period_prediction(inst.analysis, m)
             expected_mot = {
                 TWO_PI_I_HALF: 2 * m,
                 D_HALF: 1,

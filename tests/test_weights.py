@@ -19,6 +19,7 @@ from cmperiods.weights import (
     is_block_dominant,
     is_dominant,
     line_bundle_weight,
+    sharp_dual_composite,
     sharp_dual_weight,
     sharp_pair,
     similitude_twist,
@@ -140,9 +141,9 @@ class TestDualAndSharp:
 
     @given(dominant_weights(), st.integers(-4, 4))
     def test_sharp_dual_scalar_always_zero(self, w, kappa):
-        # The explicit formula and the composite construction are asserted
-        # equal inside the call.
-        assert sharp_dual_weight(w, kappa).a0 == 0
+        got = sharp_dual_weight(w, kappa)
+        assert got.a0 == 0
+        assert sharp_dual_composite(w, kappa) == got
 
     def test_composite_pieces(self):
         w = WeightParam({"t1": (2, 1)}, 5, 2)
