@@ -77,7 +77,8 @@ class CharacterShape:
         omega = weight_of(t)
         a = {x: t.z_exponent(x) for x in t.exps}
         b = {x: t.z_exponent(t.model.conj[x]) for x in t.exps}
-        assert all(a[x] + b[x] == -omega for x in a)
+        if any(a[x] + b[x] != -omega for x in a):
+            raise NotAlgebraicError("z-exponent pairs do not sum to the negated weight")
         return cls(a=a, b=b, omega=omega)
 
 
@@ -151,7 +152,8 @@ def anticyclotomic_split(eta: InfinityType, phi: CMType) -> AnticyclotomicSplit:
         psi=psi, kappa=kappa, phi=phi, differences=differences, weight_parity=parity
     )
     # Soundness: recombining must reproduce the conjugated input exactly.
-    assert tilde_alpha_infinity(psi, kappa, phi) == eta.conjugated_character()
+    if tilde_alpha_infinity(psi, kappa, phi) != eta.conjugated_character():
+        raise NoSolutionError("the split does not reproduce the conjugated character")
     return split
 
 

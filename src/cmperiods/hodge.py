@@ -68,8 +68,8 @@ def archimedean_params(mu: WeightParam, model: CMFieldModel) -> ArchParams:
     return ArchParams(entries, n, model)
 
 
-def weight_from_arch_params(ap: ArchParams, a0: int = 0) -> WeightParam:
-    """Inverse dictionary a_{t,i} = -A_{t,n+1-i} - (n+1)/2 + i."""
+def weight_from_arch_params(ap: ArchParams) -> WeightParam:
+    """Inverse dictionary a_{t,i} = -A_{t,n+1-i} - (n+1)/2 + i, with scalar 0."""
     n = ap.n
     entries = {}
     for t, row in ap.entries.items():
@@ -80,7 +80,7 @@ def weight_from_arch_params(ap: ArchParams, a0: int = 0) -> WeightParam:
                 raise PreconditionError("parameter parity does not yield an integral weight")
             vals.append(int(v))
         entries[t] = tuple(vals)
-    return WeightParam(entries, a0, n)
+    return WeightParam(entries, 0, n)
 
 
 def extend_arch_params(ap: ArchParams) -> dict[str, tuple[Fraction, ...]]:
@@ -323,6 +323,20 @@ def analyze_instance(
         counts_arch=counts_arch,
         counts_hodge=counts_hodge,
     )
+
+
+def split_index_failures(analysis: InstanceAnalysis) -> list[str]:
+    """Places whose split-index table at the Hodge signature count breaks its sums or mass."""
+    n = analysis.ap.n
+    failures = []
+    for t in analysis.ap.phi().sorted_members():
+        count = analysis.counts_hodge[t]
+        table = split_indices(n, count)
+        if table.rank_n_sum != 1 or table.rank_1_sum != n:
+            failures.append(f"split sums violated at {t}")
+        if table.rank_n[count] != 1:
+            failures.append(f"split mass not at the signature count at {t}")
+    return failures
 
 
 @dataclass(frozen=True)

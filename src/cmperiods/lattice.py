@@ -8,6 +8,8 @@ after reduction is the canonical residual, zero exactly on members.
 
 from __future__ import annotations
 
+from .errors import PreconditionError
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(x, y, g) with x*a + y*b == g == gcd(a, b)."""
@@ -31,9 +33,13 @@ class IntegerLattice:
         self.n = dimension
         self.rows: list[list[int]] = []  # echelon rows, pivot columns increasing
 
+    def _checked(self, vec: list[int]) -> list[int]:
+        if len(vec) != self.n:
+            raise PreconditionError(f"vector of length {len(vec)} in a lattice of dimension {self.n}")
+        return list(vec)
+
     def add(self, vec: list[int]) -> None:
-        assert len(vec) == self.n
-        v = list(vec)
+        v = self._checked(vec)
         while any(v):
             j = next(i for i, x in enumerate(v) if x)
             # Mix only with the row pivoted exactly at the leading column of v;
@@ -85,19 +91,13 @@ class IntegerLattice:
 
     def reduce(self, vec: list[int]) -> list[int]:
         """Canonical representative of vec modulo the lattice."""
-        assert len(vec) == self.n
-        v = list(vec)
+        v = self._checked(vec)
         for row in self.rows:
             j = next(i for i, x in enumerate(row) if x)
-            if v[j] and v[j] % row[j] == 0:
-                q = v[j] // row[j]
+            q = v[j] // row[j]  # floor; pivots are positive, so 0 <= remainder < pivot
+            if q:
                 for i in range(j, self.n):
                     v[i] -= q * row[i]
-            elif v[j]:
-                q = v[j] // row[j]  # floor; leaves 0 <= remainder < pivot
-                if q:
-                    for i in range(j, self.n):
-                        v[i] -= q * row[i]
         return v
 
     def contains(self, vec: list[int]) -> bool:

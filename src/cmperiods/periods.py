@@ -74,13 +74,18 @@ IMAG_PRODUCT = PeriodGenerator("imag-product")  # product of a purely imaginary 
 QUAD_PERIOD = PeriodGenerator("quad-char-period")  # period of the quadratic-character motive
 CM_TYPE_SIGN = PeriodGenerator("cm-type-sign")
 
+# The representation and characters of the compared identities, named once.
+# Generator names print these tags and order the residual, so they are part
+# of the report bytes.
+PI = "Pi"
+PSI = "psi"
+ALPHA = "alpha"
+ETA = "eta"  # the rank-1 motive of the character
+ETA_DUAL = "eta-dual"
+ETA_DUAL_C = f"{ETA_DUAL}^c"  # eta-dual precomposed with complex conjugation
 
-def gauss_sum(alpha: str = "alpha") -> PeriodGenerator:
-    return PeriodGenerator("gauss-sum", (alpha,))
-
-
-def finite_order_period(alpha: str = "alpha") -> PeriodGenerator:
-    return PeriodGenerator("finite-order-period", (alpha,))
+GAUSS_SUM = PeriodGenerator("gauss-sum", (ALPHA,))
+FINITE_ORDER_PERIOD = PeriodGenerator("finite-order-period", (ALPHA,))
 
 
 def cm_period(char: str, emb: str) -> PeriodGenerator:
@@ -111,6 +116,11 @@ def opaque(name: str) -> PeriodGenerator:
     return PeriodGenerator("opaque", (name,))
 
 
+Q_PI_PSI_ALPHA = opaque(f"Q({PI},{PSI},{ALPHA})")
+CM_PERIOD_PSI = cm_period(PSI, "@x")
+CM_PERIOD_PSI_ALPHA_INV = cm_period(f"{PSI}^-1*{ALPHA}^-1", "@xbar")
+
+
 RATIONALITY_BY_KIND: dict[str, Rationality] = {
     "disc^1/2": Rationality.FGAL,
     "imag-product": Rationality.FGAL,
@@ -122,11 +132,6 @@ RATIONALITY_BY_KIND: dict[str, Rationality] = {
 
 def rationality_of(gen: PeriodGenerator) -> Rationality:
     return RATIONALITY_BY_KIND.get(gen.kind, Rationality.NONE)
-
-
-def conjugated_tag(char: str) -> str:
-    """Tag of a character precomposed with conjugation; involutive on tags."""
-    return char[:-2] if char.endswith("^c") else char + "^c"
 
 
 @dataclass(frozen=True, eq=True)
@@ -208,19 +213,14 @@ class RelationContext:
 
     model: CMFieldModel | None = None
     phi: CMType | None = None
-    rep: str = "Pi"
-    psi: str = "psi"
-    alpha: str = "alpha"
-    eta_dual: str = "eta-dual"
-    eta_motive: str = "eta"
     a0: int = 0
     signature: tuple[tuple[str, int], ...] | None = None
 
     def qpet_tag(self) -> str:
         if self.signature is None:
-            return self.rep
+            return PI
         sig = ",".join(f"{t}:{c}" for t, c in self.signature)
-        return f"{self.rep}[{sig}]"
+        return f"{PI}[{sig}]"
 
 
 def standard_relations(
@@ -232,8 +232,8 @@ def standard_relations(
 ) -> RelationLattice:
     """The declared relation lattice at the requested level.
 
-    Context-free relations are always present; relations mentioning a
-    representation, characters, or a CM type require ``ctx``.  The
+    Context-free relations are always present; relations that depend on
+    the instance's signature, a0 or CM type require ``ctx``.  The
     period-dictionary relation between automorphic and motivic periods is
     conditional and only included when ``tate`` is set.  The pairing
     family (Petersson factorization, pairing proportionality, and the
@@ -252,9 +252,8 @@ def standard_relations(
         Level.Q,
         "quad-period-factorization",
     )
-    alpha = ctx.alpha if ctx else "alpha"
     rel(
-        mono((finite_order_period(alpha), 1), (D_HALF, -1), (gauss_sum(alpha), -1)),
+        mono((FINITE_ORDER_PERIOD, 1), (D_HALF, -1), (GAUSS_SUM, -1)),
         Level.Q,
         "finite-order-period-factorization",
     )
@@ -267,7 +266,7 @@ def standard_relations(
             if include_pairing:
                 rel(
                     mono(
-                        (auto_period(ctx.rep, ctx.signature), 1),
+                        (auto_period(PI, ctx.signature), 1),
                         (TWO_PI_I_HALF, 4 * ctx.a0),
                         (petersson_period(ctx.qpet_tag()), 1),
                     ),
@@ -275,32 +274,32 @@ def standard_relations(
                     "auto-period-definition",
                 )
             if tate:
-                vec = {auto_period(ctx.rep, ctx.signature): 1}
+                vec = {auto_period(PI, ctx.signature): 1}
                 for t, c in ctx.signature:
-                    vec[motivic_q(ctx.rep, c, t)] = vec.get(motivic_q(ctx.rep, c, t), 0) - 1
+                    vec[motivic_q(PI, c, t)] = vec.get(motivic_q(PI, c, t), 0) - 1
                 rel(PeriodMonomial.from_dict(vec), Level.Q, "period-dictionary")
         if ctx.model is not None and ctx.phi is not None:
             for t in ctx.phi.sorted_members():
                 rel(
                     mono(
-                        (motivic_q(ctx.eta_motive, 0, t), 1),
-                        (cm_period(conjugated_tag(ctx.eta_dual), t), -1),
+                        (motivic_q(ETA, 0, t), 1),
+                        (cm_period(ETA_DUAL_C, t), -1),
                     ),
                     Level.Q,
                     "motivic-q0-of-character",
                 )
                 rel(
                     mono(
-                        (motivic_q(ctx.eta_motive, 1, t), 1),
-                        (cm_period(ctx.eta_dual, t), -1),
+                        (motivic_q(ETA, 1, t), 1),
+                        (cm_period(ETA_DUAL, t), -1),
                     ),
                     Level.Q,
                     "motivic-q1-of-character",
                 )
                 rel(
                     mono(
-                        (cm_period(conjugated_tag(ctx.eta_dual), t), 1),
-                        (cm_period(ctx.eta_dual, ctx.model.conj[t]), -1),
+                        (cm_period(ETA_DUAL_C, t), 1),
+                        (cm_period(ETA_DUAL, ctx.model.conj[t]), -1),
                     ),
                     Level.Q,
                     "cm-period-conjugation",
@@ -308,19 +307,19 @@ def standard_relations(
         if include_pairing:
             rel(
                 mono(
-                    (doubling_pairing(ctx.rep), 1),
+                    (doubling_pairing(PI), 1),
                     (TWO_PI_I_HALF, -4 * ctx.a0),
                     (petersson_period(ctx.qpet_tag()), -1),
-                    (cm_period(ctx.psi, "@x"), 1),
-                    (cm_period(f"{ctx.psi}^-1*{ctx.alpha}^-1", "@xbar"), 1),
+                    (CM_PERIOD_PSI, 1),
+                    (CM_PERIOD_PSI_ALPHA_INV, 1),
                 ),
                 Level.FGAL,
                 "petersson-factorization",
             )
             rel(
                 mono(
-                    (doubling_pairing(ctx.rep), 1),
-                    (opaque(f"Q({ctx.rep},{ctx.psi},{ctx.alpha})"), 1),
+                    (doubling_pairing(PI), 1),
+                    (Q_PI_PSI_ALPHA, 1),
                 ),
                 Level.Q,
                 "pairing-proportionality",
@@ -388,9 +387,7 @@ def equivalent_mod(
 # Assembled sides of the identities in scope.
 
 
-def normalizing_factor_closed(
-    n: int, m: int, kappa: int, d_plus: int, alpha: str = "alpha"
-) -> PeriodMonomial:
+def normalizing_factor_closed(n: int, m: int, kappa: int, d_plus: int) -> PeriodMonomial:
     """Closed form of the normalizing L-value product in the doubling identity.
 
     (2 pi i)^{d((2m+kappa)n - n(n-1)/2)} * disc^{ceil(n/2)/2}
@@ -400,12 +397,12 @@ def normalizing_factor_closed(
         (TWO_PI_I_HALF, 2 * d_plus * ((2 * m + kappa) * n - n * (n - 1) // 2)),
         (D_HALF, (n + 1) // 2),
         (QUAD_PERIOD, n // 2),
-        (gauss_sum(alpha), n),
+        (GAUSS_SUM, n),
     )
 
 
 def normalizing_factor_product(
-    n: int, m: int, kappa: int, d_plus: int, alpha: str = "alpha", substitute: bool = True
+    n: int, m: int, kappa: int, d_plus: int, substitute: bool = True
 ) -> PeriodMonomial:
     """Same factor built term by term from its n constituent L-values.
 
@@ -422,27 +419,18 @@ def normalizing_factor_product(
 
     for j in range(n):
         bump(TWO_PI_I_HALF, 2 * d_plus * (2 * m - j + kappa))
-        bump(finite_order_period(alpha), 1)
+        bump(FINITE_ORDER_PERIOD, 1)
         if j % 2 == 1:
             bump(QUAD_PERIOD, 1)
             bump(D_HALF, -1)
     if substitute:
-        e = acc.pop(finite_order_period(alpha), 0)
+        e = acc.pop(FINITE_ORDER_PERIOD, 0)
         bump(D_HALF, e)
-        bump(gauss_sum(alpha), e)
+        bump(GAUSS_SUM, e)
     return PeriodMonomial.from_dict(acc)
 
 
-def standard_lvalue_period(
-    n: int,
-    m: int,
-    d_plus: int,
-    *,
-    variant: str = "thm",
-    rep: str = "Pi",
-    psi: str = "psi",
-    alpha: str = "alpha",
-) -> PeriodMonomial:
+def standard_lvalue_period(n: int, m: int, d_plus: int, *, variant: str = "thm") -> PeriodMonomial:
     """Period side predicted for the twisted standard L-value at m.
 
     The discriminant exponent is printed in two variants in the source
@@ -459,31 +447,21 @@ def standard_lvalue_period(
         (TWO_PI_I_HALF, 2 * d_plus * (m * n - n * (n - 1) // 2)),
         (D_HALF, d_exp),
         (QUAD_PERIOD, n // 2),
-        (opaque(f"Q({rep},{psi},{alpha})"), 1),
+        (Q_PI_PSI_ALPHA, 1),
         (arch_zeta(m), -1),
     )
 
 
-def refined_lvalue_period(
-    n: int,
-    m: int,
-    d_plus: int,
-    a0: int,
-    *,
-    rep: str = "Pi",
-    psi: str = "psi",
-    alpha: str = "alpha",
-    qpet_tag: str | None = None,
-) -> PeriodMonomial:
+def refined_lvalue_period(n: int, m: int, d_plus: int, a0: int) -> PeriodMonomial:
     """Refined period side with CM periods split out of the modified period."""
     return mono(
         (TWO_PI_I_HALF, 2 * d_plus * (m * n - n * (n - 1) // 2) - 4 * a0),
         (IMAG_PRODUCT, n // 2),
         (D_HALF, n),
         (CM_TYPE_SIGN, m * n),
-        (petersson_period(qpet_tag if qpet_tag is not None else rep), -1),
-        (cm_period(psi, "@x"), 1),
-        (cm_period(f"{psi}^-1*{alpha}^-1", "@xbar"), 1),
+        (petersson_period(PI), -1),
+        (CM_PERIOD_PSI, 1),
+        (CM_PERIOD_PSI_ALPHA_INV, 1),
     )
 
 
@@ -493,9 +471,6 @@ def rankin_lvalue_period(
     n: int,
     m: int,
     signature: dict[str, int],
-    *,
-    rep: str = "Pi",
-    eta_dual: str = "eta-dual",
 ) -> PeriodMonomial:
     """Period side for the rank-n times rank-1 Rankin-Selberg value at m - n/2.
 
@@ -510,23 +485,17 @@ def rankin_lvalue_period(
         IMAG_PRODUCT: n // 2,
         D_HALF: n,
         CM_TYPE_SIGN: m * n,
-        auto_period(rep, sig_items): 1,
+        auto_period(PI, sig_items): 1,
     }
     for t in phi.sorted_members():
         c = signature[t]
-        vec[cm_period(eta_dual, t)] = vec.get(cm_period(eta_dual, t), 0) + c
+        vec[cm_period(ETA_DUAL, t)] = vec.get(cm_period(ETA_DUAL, t), 0) + c
         tb = model.conj[t]
-        vec[cm_period(eta_dual, tb)] = vec.get(cm_period(eta_dual, tb), 0) + (n - c)
+        vec[cm_period(ETA_DUAL, tb)] = vec.get(cm_period(ETA_DUAL, tb), 0) + (n - c)
     return PeriodMonomial.from_dict(vec)
 
 
-def deligne_period_prediction(
-    analysis: InstanceAnalysis,
-    m_crit: int,
-    *,
-    rep: str = "Pi",
-    eta_motive: str = "eta",
-) -> PeriodMonomial:
+def deligne_period_prediction(analysis: InstanceAnalysis, m_crit: int) -> PeriodMonomial:
     """Conjectural period side of the motivic L-value at a critical integer.
 
     (2 pi i)^{m n d} times the plus or minus period determinant of the
@@ -547,9 +516,9 @@ def deligne_period_prediction(
         vec[CM_TYPE_SIGN] = n
     for t in analysis.ap.phi().sorted_members():
         c = analysis.counts_hodge[t]
-        vec[motivic_q(rep, c, t)] = vec.get(motivic_q(rep, c, t), 0) + 1
-        vec[motivic_q(eta_motive, 0, t)] = vec.get(motivic_q(eta_motive, 0, t), 0) + (n - c)
-        vec[motivic_q(eta_motive, 1, t)] = vec.get(motivic_q(eta_motive, 1, t), 0) + c
+        vec[motivic_q(PI, c, t)] = vec.get(motivic_q(PI, c, t), 0) + 1
+        vec[motivic_q(ETA, 0, t)] = vec.get(motivic_q(ETA, 0, t), 0) + (n - c)
+        vec[motivic_q(ETA, 1, t)] = vec.get(motivic_q(ETA, 1, t), 0) + c
     return PeriodMonomial.from_dict(vec)
 
 
@@ -561,9 +530,6 @@ def standard_vs_refined(
     *,
     variant: str = "thm",
     level: Level = Level.FGAL,
-    rep: str = "Pi",
-    psi: str = "psi",
-    alpha: str = "alpha",
 ) -> EquivalenceResult:
     """Compare the standard period side with its refined CM-period expansion.
 
@@ -572,10 +538,9 @@ def standard_vs_refined(
     and with the ``thm`` discriminant variant it additionally contains one
     stray square-root discriminant in odd rank.
     """
-    main = standard_lvalue_period(n, m, d_plus, variant=variant, rep=rep, psi=psi, alpha=alpha)
-    refined = refined_lvalue_period(n, m, d_plus, a0, rep=rep, psi=psi, alpha=alpha)
-    ctx = RelationContext(rep=rep, psi=psi, alpha=alpha, a0=a0)
-    lat = standard_relations(level, ctx)
+    main = standard_lvalue_period(n, m, d_plus, variant=variant)
+    refined = refined_lvalue_period(n, m, d_plus, a0)
+    lat = standard_relations(level, RelationContext(a0=a0))
     return equivalent_mod(main, refined, lat)
 
 
@@ -594,9 +559,6 @@ class ComparatorInstance:
     ap: ArchParams
     exp_pairs: dict[str, tuple[int, int]]
     kappa: int
-    rep: str = "Pi"
-    eta_dual: str = "eta-dual"
-    eta_motive: str = "eta"
 
     @property
     def model(self) -> CMFieldModel:
@@ -633,14 +595,7 @@ class ComparatorInstance:
             else:
                 d2 = -diffs[model.conj[gt]] + self.kappa
             pairs2[t] = (d2, 0)
-        return ComparatorInstance(
-            ap=ap2,
-            exp_pairs=pairs2,
-            kappa=self.kappa,
-            rep=self.rep,
-            eta_dual=self.eta_dual,
-            eta_motive=self.eta_motive,
-        )
+        return ComparatorInstance(ap=ap2, exp_pairs=pairs2, kappa=self.kappa)
 
 
 @dataclass(frozen=True)
@@ -662,9 +617,6 @@ class CompareReport:
     tate: bool
     signature: tuple[tuple[str, int], ...]
     identity_tags: tuple[str, ...]
-
-    def first_failure(self) -> PointComparison | None:
-        return next((p for p in self.points if not p.equivalent), None)
 
 
 def compare_automorphic_motivic(
@@ -691,23 +643,14 @@ def compare_automorphic_motivic(
         raise PreconditionError("signature counts disagree between the two dictionaries")
     sig_items = tuple(sorted(analysis.counts_arch.items()))
 
-    ctx = RelationContext(
-        model=model,
-        phi=phi,
-        rep=inst.rep,
-        eta_dual=inst.eta_dual,
-        eta_motive=inst.eta_motive,
-        signature=sig_items,
-    )
+    ctx = RelationContext(model=model, phi=phi, signature=sig_items)
     lat = standard_relations(level, ctx, tate=tate, include_pairing=False)
 
     expected_shift = -n * d_plus  # half-unit offset between the two evaluation points
     comparisons = []
     for m in analysis.admissible:
-        auto = rankin_lvalue_period(
-            model, phi, n, m, analysis.counts_arch, rep=inst.rep, eta_dual=inst.eta_dual
-        )
-        mot = deligne_period_prediction(analysis, m, rep=inst.rep, eta_motive=inst.eta_motive)
+        auto = rankin_lvalue_period(model, phi, n, m, analysis.counts_arch)
+        mot = deligne_period_prediction(analysis, m)
         diff = mono_mul(auto, mono_inv(mot))
         observed = diff.exponent(TWO_PI_I_HALF)
         adjusted = mono_mul(diff, mono((TWO_PI_I_HALF, -expected_shift)))

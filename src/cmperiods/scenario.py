@@ -11,11 +11,12 @@ printed only in the text rendering).
 from __future__ import annotations
 
 import json
+import reprlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from . import basechange as bc
 from .cmfield import (
@@ -31,8 +32,8 @@ from .cmfield import (
     regular_family,
 )
 from .errors import CMPeriodsError, ScenarioError
-from .hecke import InfinityType, conjugate_infinity_type
-from .hodge import ArchParams, split_indices
+from .hecke import InfinityType
+from .hodge import ArchParams, split_index_failures
 from .periods import (
     ComparatorInstance,
     Level,
@@ -52,7 +53,7 @@ from .sweeps import (
 from .weights import (
     Signature,
     WeightParam,
-    conjugate_weight,
+    doubling_equivariance_failures,
     doubling_weight,
     is_block_dominant,
     is_dominant,
@@ -106,12 +107,47 @@ class Scenario:
     instances: dict[tuple[str, str], ComparatorInstance] = field(default_factory=dict)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(value: Any, where: str) -> int:
+    if not _is_int(value):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _int_pair(value: Any, where: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value)):
+        raise ScenarioError(f"{where} must be a list of two integers, got {value!r}")
+    return value[0], value[1]
+
+
 def _fraction(value: Any, where: str) -> Fraction:
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(x, int) for x in value):
-        return Fraction(value[0], value[1])
-    raise ScenarioError(f"{where}: rationals must be integers or [num, den] pairs")
+    if isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value):
+        if value[1]:
+            return Fraction(value[0], value[1])
+    raise ScenarioError(f"{where}: rationals must be integers or [num, den] pairs with den != 0")
+
+
+def _shaped(value: Any, shape: type, where: str) -> Any:
+    """``value`` if it is a JSON object (``dict``) or array (``list``) as required."""
+    if not isinstance(value, shape):
+        name = "an object" if shape is dict else "an array"
+        raise ScenarioError(f"{where} must be {name}, got {reprlib.repr(value)}")
+    return value
+
+
+def _member(spec: dict, key: str, where: str) -> dict:
+    return _shaped(spec[key], dict, f"{where}.{key}")
+
+
+def _named(raw: dict, block: str) -> Iterator[tuple[str, str, dict]]:
+    """(name, place, spec) for each entry of a top-level block of named objects."""
+    for name, spec in _shaped(raw.get(block, {}), dict, block).items():
+        yield name, f"{block}.{name}", _shaped(spec, dict, f"{block}.{name}")
 
 
 BUILTIN_MODELS = {
@@ -120,12 +156,12 @@ BUILTIN_MODELS = {
 }
 
 
-def _parse_model(spec: dict) -> CMFieldModel:
-    if "builtin" in spec:
+def _parse_model(spec: Any) -> CMFieldModel:
+    if "builtin" in _shaped(spec, dict, "field_model"):
         name = spec["builtin"]
         if name == "klein":
             return klein_model()
-        kind, _, arg = name.partition(":")
+        kind, _, arg = str(name).partition(":")
         if kind in BUILTIN_MODELS and arg.isdigit():
             return BUILTIN_MODELS[kind](int(arg))
         raise ScenarioError(f"unknown builtin field model {name!r}")
@@ -133,14 +169,10 @@ def _parse_model(spec: dict) -> CMFieldModel:
         return CMFieldModel(
             embeddings=tuple(spec["embeddings"]),
             conj=dict(spec["conj"]),
-            group={name: dict(perm) for name, perm in spec["group"].items()},
+            group={name: dict(perm) for name, perm in _member(spec, "group", "field_model").items()},
         )
     except KeyError as exc:
         raise ScenarioError(f"field_model is missing key {exc}") from exc
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_basechange_fields(chk: dict, where: str) -> None:
@@ -169,13 +201,15 @@ _INT_FIELDS = {
 
 
 def _check_fields(chk: dict, where: str, blocks: dict[str, dict]) -> None:
+    if chk["kind"] == "critical" and "expect" in chk:
+        _int_pair(chk["expect"], f"{where}: expect")
     for name, block in _CHECK_REFS.get(chk["kind"], ()):
         ref = chk.get(name)
         if not isinstance(ref, str) or ref not in blocks[block]:
             raise ScenarioError(f"{where}: {name} must be a name defined in {block}, got {ref!r}")
     for name in _INT_FIELDS.get(chk["kind"], ()):
-        if name in chk and not _is_int(chk[name]):
-            raise ScenarioError(f"{where}: {name} must be an integer, got {chk[name]!r}")
+        if name in chk:
+            _int(chk[name], f"{where}: {name}")
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -191,6 +225,7 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    _shaped(raw, dict, "scenario")
     if raw.get("schema") != SCENARIO_SCHEMA:
         raise ScenarioError(f"expected schema {SCENARIO_SCHEMA!r}, got {raw.get('schema')!r}")
     try:
@@ -204,60 +239,65 @@ def parse_scenario(path: str) -> Scenario:
         if fam_spec == {"builtin": "regular"} or fam_spec == "regular":
             family = regular_family(model)
         elif fam_spec is not None:
+            _shaped(fam_spec, dict, "emb_family")
             family = EmbFamilyModel(
                 points=tuple(fam_spec["points"]),
                 base=fam_spec["base"],
-                action={g: dict(p) for g, p in fam_spec["action"].items()},
+                action={g: dict(p) for g, p in _member(fam_spec, "action", "emb_family").items()},
             )
             family.validate(model)
 
-        signatures = {
-            name: Signature({t: tuple(rs) for t, rs in spec["pairs"].items()}, spec["n"])
-            for name, spec in raw.get("signatures", {}).items()
-        }
-        weight_params = {
-            name: WeightParam(
-                {t: tuple(row) for t, row in spec["entries"].items()}, spec["a0"], spec["n"]
-            )
-            for name, spec in raw.get("weights", {}).items()
-        }
+        signatures = {}
+        for name, where, spec in _named(raw, "signatures"):
+            pairs = _member(spec, "pairs", where)
+            pairs = {t: _int_pair(rs, f"{where}.pairs.{t}") for t, rs in pairs.items()}
+            signatures[name] = Signature(pairs, _int(spec["n"], f"{where}.n"))
+        weight_params = {}
+        for name, where, spec in _named(raw, "weights"):
+            rows = {
+                t: tuple(_int(a, f"{where}.entries.{t}") for a in row)
+                for t, row in _member(spec, "entries", where).items()
+            }
+            a0, n = _int(spec["a0"], f"{where}.a0"), _int(spec["n"], f"{where}.n")
+            weight_params[name] = WeightParam(rows, a0, n)
         infinity_types = {
-            name: InfinityType({t: int(v) for t, v in spec.items()}, model)
-            for name, spec in raw.get("infinity_types", {}).items()
+            name: InfinityType({t: _int(v, f"{where}.{t}") for t, v in spec.items()}, model)
+            for name, where, spec in _named(raw, "infinity_types")
         }
         arch_params = {}
-        for name, spec in raw.get("arch_params", {}).items():
+        for name, where, spec in _named(raw, "arch_params"):
             entries = {
-                t: tuple(_fraction(x, f"arch_params.{name}.{t}") for x in row)
-                for t, row in spec["entries"].items()
+                t: tuple(_fraction(x, f"{where}.{t}") for x in row)
+                for t, row in _member(spec, "entries", where).items()
             }
-            arch_params[name] = ArchParams(entries, spec["n"], model)
+            arch_params[name] = ArchParams(entries, _int(spec["n"], f"{where}.n"), model)
         characters = {}
-        for name, spec in raw.get("characters", {}).items():
-            pairs = {t: (int(p[0]), int(p[1])) for t, p in spec["pairs"].items()}
-            characters[name] = {"pairs": pairs, "kappa": int(spec.get("kappa", 0))}
+        for name, where, spec in _named(raw, "characters"):
+            pairs = _member(spec, "pairs", where)
+            pairs = {t: _int_pair(p, f"{where}.pairs.{t}") for t, p in pairs.items()}
+            characters[name] = {"pairs": pairs, "kappa": _int(spec.get("kappa", 0), f"{where}.kappa")}
 
-        opts_raw = raw.get("options", {})
-        sweep_raw = opts_raw.get("sweep", {})
+        opts_raw = _shaped(raw.get("options", {}), dict, "options")
+        sweep_raw = _shaped(opts_raw.get("sweep", {}), dict, "options.sweep")
+        bound_names = [f.name for f in fields(SweepBounds)]
+        for key in ("count", *bound_names):
+            if key in sweep_raw:
+                _int(sweep_raw[key], f"options.sweep.{key}")
         options = Options(
             level=opts_raw.get("level", "fgal"),
             tate=opts_raw.get("tate", "on"),
             d_exponent=opts_raw.get("d_exponent", "thm"),
             fmt=opts_raw.get("format", "structured"),
-            seed=int(raw.get("seed", 0)),
-            sweep=SweepBounds(
-                n_max=sweep_raw.get("n_max", 4),
-                d_max=sweep_raw.get("d_max", 3),
-                two_a_max=sweep_raw.get("two_a_max", 15),
-                m_max=sweep_raw.get("m_max", 6),
-                kappa_max=sweep_raw.get("kappa_max", 4),
-            ),
+            seed=_int(raw.get("seed", 0), "seed"),
+            sweep=SweepBounds(**{k: sweep_raw[k] for k in bound_names if k in sweep_raw}),
             sweep_count=sweep_raw.get("count", 200),
         )
         options.level_enum()
         options.tate_enabled()
         if options.d_exponent not in ("thm", "intro"):
             raise ScenarioError(f"d_exponent must be 'thm' or 'intro', got {options.d_exponent!r}")
+        if options.fmt not in ("structured", "text"):
+            raise ScenarioError(f"format must be 'structured' or 'text', got {options.fmt!r}")
 
         blocks = {
             "arch_params": arch_params,
@@ -267,8 +307,8 @@ def parse_scenario(path: str) -> Scenario:
             "signatures": signatures,
         }
         checks = []
-        for idx, chk in enumerate(raw.get("checks", [])):
-            kind = chk.get("kind")
+        for idx, chk in enumerate(_shaped(raw.get("checks", []), list, "checks")):
+            kind = _shaped(chk, dict, f"checks[{idx}]").get("kind")
             if kind not in CHECK_KINDS:
                 raise ScenarioError(f"checks[{idx}]: unknown kind {kind!r}")
             if kind == "basechange":
@@ -281,7 +321,7 @@ def parse_scenario(path: str) -> Scenario:
         raise
     except CMPeriodsError as exc:
         raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
     return Scenario(
@@ -379,12 +419,7 @@ def _run_critical(scn: Scenario, chk: dict) -> Outcome:
 
 def _run_signature(scn: Scenario, chk: dict) -> Outcome:
     analysis = _instance_for(scn, chk).analysis
-    n = analysis.ap.n
-    split_ok = True
-    for t in analysis.ap.phi().sorted_members():
-        table = split_indices(n, analysis.counts_hodge[t])
-        if table.rank_n_sum != 1 or table.rank_1_sum != n:
-            split_ok = False
+    split_ok = not split_index_failures(analysis)
     ok = analysis.counts_arch == analysis.counts_hodge and split_ok
     return (
         "pass" if ok else "fail",
@@ -409,15 +444,7 @@ def _run_weights(scn: Scenario, chk: dict) -> Outcome:
         kappa = chk.get("kappa", 0)
         details["sharp_paths_agree"] = sharp_dual_weight(mu, kappa) == sharp_dual_composite(mu, kappa)
         ok = details["doubling_block_dominant"] and details["sharp_paths_agree"]
-        equiv_fail = []
-        for g in sorted(scn.model.group):
-            lhs = doubling_weight(
-                conjugate_weight(mu, g, scn.model),
-                conjugate_infinity_type(psi, scn.model.inverse_name(g)),
-                sig.conjugated(scn.model, g),
-            )
-            if lhs != conjugate_weight(lam, g, scn.model):
-                equiv_fail.append(g)
+        equiv_fail = doubling_equivariance_failures(mu, psi, sig, lam)
         details["equivariance_failures"] = equiv_fail
         ok = ok and not equiv_fail
     return (
@@ -622,10 +649,7 @@ def run_sweeps(scn: Scenario) -> Report:
         ("dominance", partial(run_dominance_sweep, seed + 3, count)),
         ("equivariance", partial(run_equivariance_sweep, seed + 4, max(1, count // 10), bounds, level, tate)),
     ]
-    jobs = [
-        (f"sweep-{name}", name if name in CHECK_KINDS else "compare", partial(_sweep_outcome, name, sweep))
-        for name, sweep in sweeps
-    ]
+    jobs = [(f"sweep-{name}", name, partial(_sweep_outcome, name, sweep)) for name, sweep in sweeps]
     return _report(scn, jobs, count=count)
 
 

@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cmfield import CMFieldModel, cyclic_model
-from .hecke import InfinityType, conjugate_infinity_type
-from .hodge import ArchParams, critical_points_satisfy_bounds, split_indices
+from .hecke import InfinityType
+from .hodge import ArchParams, critical_points_satisfy_bounds, split_index_failures
 from .periods import ComparatorInstance, Level, compare_automorphic_motivic
 from .weights import (
     Signature,
     WeightParam,
-    conjugate_weight,
+    doubling_equivariance_failures,
     doubling_weight,
     is_block_dominant,
     is_dominant,
@@ -149,12 +149,7 @@ def run_signature_sweep(
         if counts_arch != counts_hodge:
             stats.failures.append(f"signature mismatch {counts_arch} vs {counts_hodge}")
             continue
-        for t in inst.phi().sorted_members():
-            table = split_indices(inst.ap.n, counts_hodge[t])
-            if table.rank_n_sum != 1 or table.rank_1_sum != inst.ap.n:
-                stats.failures.append(f"split sums violated at {t}")
-            if table.rank_n[counts_hodge[t]] != 1:
-                stats.failures.append(f"split mass not at the signature count at {t}")
+        stats.failures.extend(split_index_failures(inst.analysis))
     return stats
 
 
@@ -170,8 +165,8 @@ def random_dominant_weight(rng: random.Random, model: CMFieldModel, n: int) -> W
     return WeightParam(entries, rng.randint(-6, 6), n)
 
 
-def random_infinity_type(rng: random.Random, model: CMFieldModel, span: int = 6) -> InfinityType:
-    return InfinityType({t: rng.randint(-span, span) for t in model.embeddings}, model)
+def random_infinity_type(rng: random.Random, model: CMFieldModel) -> InfinityType:
+    return InfinityType({t: rng.randint(-6, 6) for t in model.embeddings}, model)
 
 
 def random_signature(rng: random.Random, model: CMFieldModel, n: int) -> Signature:
@@ -241,14 +236,6 @@ def run_equivariance_sweep(
         psi = random_infinity_type(rng, wmodel)
         sig = random_signature(rng, wmodel, n)
         lam = doubling_weight(mu, psi, sig)
-        for g in sorted(wmodel.group):
-            g_inv = wmodel.inverse_name(g)
-            lhs = doubling_weight(
-                conjugate_weight(mu, g, wmodel),
-                conjugate_infinity_type(psi, g_inv),
-                sig.conjugated(wmodel, g),
-            )
-            rhs = conjugate_weight(lam, g, wmodel)
-            if lhs != rhs:
-                stats.failures.append(f"doubling parameter not equivariant under {g}")
+        for g in doubling_equivariance_failures(mu, psi, sig, lam):
+            stats.failures.append(f"doubling parameter not equivariant under {g}")
     return stats

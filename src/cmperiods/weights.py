@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .cmfield import CMFieldModel, CMType, conjugate_signature
 from .errors import DominanceError, PreconditionError
+from .hecke import conjugate_infinity_type
 
 __all__ = [
     "WeightParam",
@@ -20,6 +21,7 @@ __all__ = [
     "is_dominant",
     "is_block_dominant",
     "doubling_weight",
+    "doubling_equivariance_failures",
     "dual_weight",
     "sharp_pair",
     "det_twist",
@@ -51,9 +53,6 @@ class WeightParam:
 
     def taus(self) -> tuple[str, ...]:
         return tuple(sorted(self.entries))
-
-    def map_rows(self, fn) -> "WeightParam":
-        return WeightParam({t: tuple(fn(row)) for t, row in self.entries.items()}, self.a0, self.n)
 
 
 @dataclass(frozen=True, eq=True)
@@ -105,7 +104,8 @@ def doubling_weight(mu: WeightParam, psi, sig: Signature) -> WeightParam:
         b_{t,i} = a_{t,i-r} + m_{tbar} - m_t + r        for r <  i <= n,
         b_0     = a_0 - n * sum over the CM type of m_{tbar}.
 
-    The result is always block dominant for ``sig``; this is asserted.
+    The result is always block dominant for ``sig``; a result that is not
+    raises DominanceError.
     """
     if not is_dominant(mu):
         raise DominanceError("doubling_weight requires a dominant input weight")
@@ -122,7 +122,8 @@ def doubling_weight(mu: WeightParam, psi, sig: Signature) -> WeightParam:
         row += [a[i - r - 1] + m_bar - m_t + r for i in range(r + 1, mu.n + 1)]
         entries[t] = tuple(row)
     out = WeightParam(entries, mu.a0 - mu.n * total_bar, mu.n)
-    assert is_block_dominant(out, sig)
+    if not is_block_dominant(out, sig):
+        raise DominanceError("doubling parameter is not block dominant for the signature")
     return out
 
 
@@ -242,3 +243,19 @@ def conjugate_weight(
             if perm[t] not in phi_members:
                 a0 += sum(w.entries[model.conj[perm[t]]])
     return WeightParam(entries, a0, w.n)
+
+
+def doubling_equivariance_failures(mu: WeightParam, psi, sig: Signature, lam: WeightParam) -> list[str]:
+    """Group elements g under which ``lam = doubling_weight(mu, psi, sig)`` is not equivariant:
+    conjugating the inputs by g, the character by g's inverse, must conjugate ``lam`` by g."""
+    model = psi.model
+    return [
+        g
+        for g in sorted(model.group)
+        if doubling_weight(
+            conjugate_weight(mu, g, model),
+            conjugate_infinity_type(psi, model.inverse_name(g)),
+            sig.conjugated(model, g),
+        )
+        != conjugate_weight(lam, g, model)
+    ]

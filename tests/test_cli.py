@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,11 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cmperiods import scenario
 from cmperiods.cli import main
 from cmperiods.errors import ScenarioError
-from cmperiods.scenario import emit_report, parse_scenario, run_checks, run_sweeps
+from cmperiods.scenario import Scenario, emit_report, parse_scenario, run_checks, run_sweeps
 from cmperiods.weights import similitude_twist
 
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
@@ -40,6 +43,46 @@ def write(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def json_paths(node, path=()):
+    """Every key/index path into a parsed JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+DEMO_DOC = json.loads(DEMO.read_text(encoding="utf-8"))
+DEMO_PATHS = list(json_paths(DEMO_DOC))
+DROP = object()
+FUZZ_VALUES = [DROP, 5, "x", None, [], {}, 1.5, True]
+
+
+def mutated(doc, mutations):
+    """``doc`` with each (path, value) applied in turn; DROP deletes the entry.
+
+    A path that an earlier mutation removed is skipped.
+    """
+    for path, value in mutations:
+        if not path:
+            if value is not DROP:
+                doc = copy.deepcopy(value)
+            continue
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (LookupError, TypeError):
+            continue
+        if not isinstance(parent, (dict, list)):
+            continue
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    return doc
 
 
 class TestParsing:
@@ -110,6 +153,8 @@ class TestParsing:
             ("weight", "nope"),
             ("infinity_type", ["mu"]),
             ("signature", None),
+            ("expect", 5),
+            ("expect", [1, "2"]),
         ],
     )
     def test_malformed_basechange_field(self, tmp_path, capsys, field, value):
@@ -117,6 +162,7 @@ class TestParsing:
         # spoils an otherwise valid check of the kind that reads the field.
         valid = {
             "basechange": {"kind": "basechange"},
+            "critical": {"kind": "critical", "arch": "Pi", "character": "eta"},
             "lemma_d": {"kind": "lemma_d"},
             "compare": {"kind": "compare", "arch": "Pi", "character": "eta"},
             "weights": {"kind": "weights", "weight": "mu", "infinity_type": "psi", "signature": "sig"},
@@ -125,6 +171,7 @@ class TestParsing:
             "n_max": "lemma_d", "kappa_max": "lemma_d", "d_max": "lemma_d", "m_extra": "lemma_d",
             "a0": "compare", "arch": "compare", "character": "compare",
             "kappa": "weights", "weight": "weights", "infinity_type": "weights", "signature": "weights",
+            "expect": "critical",
         }.get(field, "basechange")
         payload = json.loads(json.dumps(MINIMAL))
         payload.update(WEIGHT_ENTRIES)
@@ -133,6 +180,58 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"input error: checks[0]: {field} must be")
+
+    @pytest.mark.parametrize(
+        "where, path, value",
+        [
+            pytest.param(where, path, value, id=where)
+            for where, path, value in [
+                ("scenario", (), [DEMO_DOC]),
+                ("checks[0]", ("checks",), [5]),
+                ("options", ("options",), 5),
+                ("options.sweep", ("options", "sweep"), 5),
+                ("infinity_types.psi", ("infinity_types", "psi"), 5),
+                ("characters.eta.pairs", ("characters", "eta", "pairs"), []),
+                ("options.sweep.count", ("options", "sweep", "count"), "x"),
+                ("format", ("options", "format"), 5),
+                ("seed", ("seed",), 1.5),
+                ("infinity_types.psi.t1", ("infinity_types", "psi", "t1"), 1.5),
+                ("characters.eta.pairs.t1", ("characters", "eta", "pairs", "t1"), ["-4", 6]),
+                ("characters.eta.kappa", ("characters", "eta", "kappa"), True),
+                ("signatures.sig.pairs.t1", ("signatures", "sig", "pairs", "t1"), [0.5, 1.5]),
+                ("weights.mu.entries.t1", ("weights", "mu", "entries", "t1"), [2, 0.5]),
+                ("arch_params.Pi.n", ("arch_params", "Pi", "n"), 2.0),
+            ]
+        ],
+    )
+    def test_malformed_shape_exits_two(self, tmp_path, capsys, where, path, value):
+        # A container of the wrong JSON type, or a number that is not an
+        # integer where one is required, is an input error naming its place.
+        payload = mutated(copy.deepcopy(DEMO_DOC), [(path, value)])
+        assert main(["check", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {where} must be")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(DEMO_PATHS), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3
+        )
+    )
+    def test_mutated_demo_parses_or_raises_scenario_error(self, tmp_path, mutations):
+        path = write(tmp_path, mutated(copy.deepcopy(DEMO_DOC), mutations))
+        try:
+            assert isinstance(parse_scenario(path), Scenario)
+        except ScenarioError:
+            pass
+
+    @pytest.mark.parametrize("value", [[1, 0], True, [True, 2]])
+    def test_malformed_rational_rejected(self, tmp_path, value):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["arch_params"]["Pi"]["entries"]["t1"] = [value]
+        with pytest.raises(ScenarioError, match="arch_params.Pi.t1: rationals must be"):
+            parse_scenario(write(tmp_path, payload))
 
     def test_float_rational_rejected(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
@@ -183,12 +282,14 @@ class TestReports:
             assert mixed[cid].status == solo[cid].status
             assert mixed[cid].details == solo[cid].details
 
-    def test_unexpected_exception_recorded(self, tmp_path):
-        # A non-list "expect" makes the critical check raise TypeError; the
-        # error is recorded with its type and the next check still runs.
-        payload = json.loads(json.dumps(MINIMAL))
-        payload["checks"][0]["expect"] = 5
-        report = run_checks(parse_scenario(write(tmp_path, payload)))
+    def test_unexpected_exception_recorded(self, tmp_path, monkeypatch):
+        # A check runner that raises TypeError is recorded as an error with
+        # the exception's type, and the next check still runs.
+        def broken(scn, chk):
+            raise TypeError("broken runner")
+
+        monkeypatch.setitem(scenario._CHECK_RUNNERS, "critical", broken)
+        report = run_checks(parse_scenario(write(tmp_path, MINIMAL)))
         by_id = {r.check_id: r for r in report.results}
         assert by_id["crit"].status == "error"
         assert by_id["crit"].details["error"].startswith("TypeError: ")
@@ -247,14 +348,9 @@ class TestMainEntry:
         payload["options"] = {"sweep": {"count": 20}}
         assert main(["sweep", write(tmp_path, payload)]) == 0
         report = json.loads(capsys.readouterr().out)
-        ids = [c["id"] for c in report["checks"]]
-        assert ids == [
-            "sweep-compare",
-            "sweep-bounds",
-            "sweep-signature",
-            "sweep-dominance",
-            "sweep-equivariance",
-        ]
+        names = ["compare", "bounds", "signature", "dominance", "equivariance"]
+        assert [c["id"] for c in report["checks"]] == [f"sweep-{name}" for name in names]
+        assert [c["kind"] for c in report["checks"]] == names
 
     def test_sweep_determinism(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
@@ -296,6 +392,14 @@ class TestMainEntry:
         assert optimized.stdout == plain.stdout
 
     def test_demo_sweep_report_is_recorded(self, capsys):
+        # The recorded report predates labelling each sweep by its own kind
+        # (the three sweeps that are not check kinds were labelled compare);
+        # everything else must stay byte-identical.
         assert main(["sweep", str(DEMO), "--seed", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for check in report["checks"]:
+            if check["id"] in ("sweep-bounds", "sweep-dominance", "sweep-equivariance"):
+                assert check["kind"] == check["id"].removeprefix("sweep-")
+                check["kind"] = "compare"
         recorded = (Path(__file__).parent / "data" / "demo_sweep_seed7.json").read_text(encoding="utf-8")
-        assert capsys.readouterr().out == recorded
+        assert json.dumps(report, sort_keys=True, indent=2) + "\n" == recorded

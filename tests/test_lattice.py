@@ -1,9 +1,13 @@
 import itertools
 import random
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
+from cmperiods.errors import PreconditionError
 from cmperiods.lattice import IntegerLattice, xgcd
 
 
@@ -81,3 +85,39 @@ def test_known_small_lattices():
     gcd_lat.add([6])
     gcd_lat.add([10])
     assert gcd_lat.contains([2]) and not gcd_lat.contains([1])
+
+
+def sympy_member(rows, vec):
+    """Independent oracle: appending a member as a generator leaves the HNF unchanged."""
+    return hermite_normal_form(Matrix(rows).T) == hermite_normal_form(Matrix(rows + [vec]).T)
+
+
+@st.composite
+def lattice_and_vector(draw):
+    dim = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    combo = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(dim)]
+    vec = draw(st.sampled_from([combo, draw(st.lists(entry, min_size=dim, max_size=dim))]))
+    return rows, vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_and_vector())
+def test_membership_agrees_with_sympy_hnf(case):
+    rows, vec = case
+    lat = IntegerLattice(len(vec))
+    for row in rows:
+        lat.add(row)
+    assert lat.contains(vec) == sympy_member(rows, vec)
+    diff = [a - b for a, b in zip(vec, lat.reduce(vec))]
+    assert sympy_member(rows, diff)
+
+
+@pytest.mark.parametrize("method", ["add", "reduce"])
+def test_wrong_length_vector_rejected(method):
+    lat = IntegerLattice(3)
+    lat.add([1, 2, 3])
+    with pytest.raises(PreconditionError):
+        getattr(lat, method)([1, 2])

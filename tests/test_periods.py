@@ -13,7 +13,11 @@ from cmperiods.periods import (
     CM_TYPE_SIGN,
     D_HALF,
     IMAG_PRODUCT,
+    ETA_DUAL_C,
+    FINITE_ORDER_PERIOD,
+    GAUSS_SUM,
     ONE,
+    Q_PI_PSI_ALPHA,
     QUAD_PERIOD,
     TWO_PI_I_HALF,
     ComparatorInstance,
@@ -25,11 +29,8 @@ from cmperiods.periods import (
     auto_period,
     cm_period,
     compare_automorphic_motivic,
-    conjugated_tag,
     deligne_period_prediction,
     equivalent_mod,
-    finite_order_period,
-    gauss_sum,
     mono,
     mono_inv,
     mono_mul,
@@ -49,7 +50,7 @@ from cmperiods.sweeps import SweepBounds, random_instance
 ONE_PAIR = cyclic_model(1)
 PHI1 = CMType(frozenset({"t1"}))
 
-GEN_POOL = [TWO_PI_I_HALF, D_HALF, IMAG_PRODUCT, QUAD_PERIOD, CM_TYPE_SIGN, gauss_sum(), opaque("x")]
+GEN_POOL = [TWO_PI_I_HALF, D_HALF, IMAG_PRODUCT, QUAD_PERIOD, CM_TYPE_SIGN, GAUSS_SUM, opaque("x")]
 
 
 @st.composite
@@ -62,7 +63,7 @@ def monomials(draw):
 
 class TestMonomialAlgebra:
     def test_cancellation(self):
-        x = mono((D_HALF, 1), (gauss_sum(), 2))
+        x = mono((D_HALF, 1), (GAUSS_SUM, 2))
         assert mono_mul(x, mono_inv(x)) == ONE
 
     def test_power_of_power(self):
@@ -91,9 +92,12 @@ class TestMonomialAlgebra:
         x = mono((QUAD_PERIOD, 1), (D_HALF, -2))
         assert x.describe() == "disc^1/2^-2 * quad-char-period^1"
 
-    def test_conjugated_tag_involution(self):
-        assert conjugated_tag("eta") == "eta^c"
-        assert conjugated_tag("eta^c") == "eta"
+    def test_fixed_symbol_names(self):
+        # These names are printed in residuals and order them in reports.
+        assert ETA_DUAL_C == "eta-dual^c"
+        assert Q_PI_PSI_ALPHA.name() == "opaque(Q(Pi,psi,alpha))"
+        assert GAUSS_SUM.name() == "gauss-sum(alpha)"
+        assert FINITE_ORDER_PERIOD.name() == "finite-order-period(alpha)"
 
 
 class TestEquivalence:
@@ -154,20 +158,20 @@ class TestNormalizingFactor:
     def test_rank_one_closed_form(self):
         got = normalizing_factor_closed(1, 4, 2, 3)
         assert got == mono(
-            (TWO_PI_I_HALF, 2 * 3 * 10), (D_HALF, 1), (gauss_sum(), 1)
+            (TWO_PI_I_HALF, 2 * 3 * 10), (D_HALF, 1), (GAUSS_SUM, 1)
         )
 
     def test_rank_two_example(self):
         got = normalizing_factor_closed(2, 3, 0, 1)
         assert got == mono(
-            (TWO_PI_I_HALF, 22), (D_HALF, 1), (QUAD_PERIOD, 1), (gauss_sum(), 2)
+            (TWO_PI_I_HALF, 22), (D_HALF, 1), (QUAD_PERIOD, 1), (GAUSS_SUM, 2)
         )
         assert normalizing_factor_product(2, 3, 0, 1) == got
 
     def test_product_before_substitution(self):
         raw = normalizing_factor_product(1, 2, 0, 1, substitute=False)
-        assert raw.exponent(finite_order_period()) == 1
-        assert raw.exponent(gauss_sum()) == 0
+        assert raw.exponent(FINITE_ORDER_PERIOD) == 1
+        assert raw.exponent(GAUSS_SUM) == 0
         lat = standard_relations(Level.Q)
         assert equivalent_mod(raw, normalizing_factor_closed(1, 2, 0, 1), lat).equivalent
 
