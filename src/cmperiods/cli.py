@@ -59,7 +59,12 @@ EXPLANATIONS = {
         "identities: period-dictionary (conditional), motivic-q0-of-character,",
         "            motivic-q1-of-character, cm-period-conjugation,",
         "            quad-period-factorization, cm-type-sign-squared,",
-        "            petersson-factorization, pairing-proportionality",
+        "            finite-order-period-factorization, and at level fgal",
+        "            rationality:cm-type-sign, rationality:disc^1/2,",
+        "            rationality:imag-product, rationality:quad-char-period",
+        "The standard_vs_refined detail compares the standard period side",
+        "with its refined CM-period expansion in a lattice of its own:",
+        "  petersson-factorization (level fgal), pairing-proportionality",
     ],
     "basechange": [
         "Sweeps unramified unitary-side characters through both routes of",

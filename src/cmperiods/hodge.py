@@ -275,13 +275,17 @@ class InstanceAnalysis:
     """Everything derived from one (rank-n datum, character, kappa) instance.
 
     Built once by :func:`analyze_instance` and passed to every consumer.
-    The two signature counts come from independent dictionaries and are
-    kept apart so that callers can compare them.
+    ``exp_pairs`` maps each place of the CM type to the character
+    exponents (m_t, m_tbar); only their differences ``diffs`` enter any
+    computation, which keeps conjugation of instances total.  The two
+    signature counts come from independent dictionaries and are kept
+    apart so that callers can compare them.
     """
 
     ap: ArchParams
     exp_pairs: dict[str, tuple[int, int]]
     kappa: int
+    diffs: dict[str, int]  # m_t - m_tbar per place
     rank_n: HodgeData
     rank_1: HodgeData
     tensor: HodgeData
@@ -290,6 +294,32 @@ class InstanceAnalysis:
     admissible: tuple[int, ...]  # critical integers above (2n - kappa)/2
     counts_arch: dict[str, int]
     counts_hodge: dict[str, int]
+
+    @property
+    def model(self) -> CMFieldModel:
+        return self.ap.model
+
+    def phi(self) -> CMType:
+        return self.ap.phi()
+
+    def conjugated(self, g: str) -> "InstanceAnalysis":
+        """Transport the instance by a group element, re-expressed on the same CM type.
+
+        Places whose image crosses to the conjugate half flip their
+        difference and absorb the twist exponent; the twist exponent
+        itself is invariant.
+        """
+        model = self.model
+        perm = model.element(g)
+        pairs: dict[str, tuple[int, int]] = {}
+        for t in self.exp_pairs:
+            gt = perm[t]
+            if gt in self.diffs:
+                d = self.diffs[gt]
+            else:
+                d = -self.diffs[model.conj[gt]] + self.kappa
+            pairs[t] = (d, 0)
+        return analyze_instance(conjugate_arch_params(self.ap, g), pairs, self.kappa)
 
 
 def analyze_instance(
@@ -314,6 +344,7 @@ def analyze_instance(
         ap=ap,
         exp_pairs=exp_pairs,
         kappa=kappa,
+        diffs=diffs,
         rank_n=rank_n,
         rank_1=rank_1,
         tensor=tensor,
@@ -341,17 +372,13 @@ def split_index_failures(analysis: InstanceAnalysis) -> list[str]:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Outcome of the evaluation-point inequality with per-place slack."""
+    """Outcome of the evaluation-point inequality with the per-place upper terms."""
 
     ok: bool
     m: int
     lower: Fraction
     upper_terms: dict[str, tuple[int | None, int | None]]
     min_upper: int | None
-
-    def slack(self, t: str) -> int | None:
-        terms = [x for x in self.upper_terms[t] if x is not None]
-        return min(terms) - self.m if terms else None
 
 
 def doubling_bounds_check(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cmfield import CMFieldModel, CMType
 from .errors import NotCriticalError, PreconditionError
-from .hodge import ArchParams, InstanceAnalysis, analyze_instance, conjugate_arch_params
+from .hodge import InstanceAnalysis
 from .lattice import IntegerLattice
 
 
@@ -191,10 +191,9 @@ def mono(*pairs: tuple[PeriodGenerator, int]) -> PeriodMonomial:
 
 @dataclass(frozen=True, eq=True)
 class Relation:
-    """A monomial declared trivial at a level, with its identity tag."""
+    """A monomial declared trivial, with its identity tag."""
 
     vector: PeriodMonomial
-    level: Level
     tag: str
 
 
@@ -206,133 +205,110 @@ class RelationLattice:
     def tags(self) -> tuple[str, ...]:
         return tuple(r.tag for r in self.relations)
 
-
-@dataclass(frozen=True, eq=True)
-class RelationContext:
-    """Instance data needed to instantiate the context-dependent relations."""
-
-    model: CMFieldModel | None = None
-    phi: CMType | None = None
-    a0: int = 0
-    signature: tuple[tuple[str, int], ...] | None = None
-
-    def qpet_tag(self) -> str:
-        if self.signature is None:
-            return PI
-        sig = ",".join(f"{t}:{c}" for t, c in self.signature)
-        return f"{PI}[{sig}]"
+    def with_relations(self, extra: tuple[Relation, ...]) -> "RelationLattice":
+        return RelationLattice(level=self.level, relations=self.relations + extra)
 
 
-def standard_relations(
-    level: Level,
-    ctx: RelationContext | None = None,
-    *,
-    tate: bool = False,
-    include_pairing: bool = True,
-) -> RelationLattice:
-    """The declared relation lattice at the requested level.
+def standard_relations(level: Level) -> RelationLattice:
+    """The context-free relation lattice at the requested level.
 
-    Context-free relations are always present; relations that depend on
-    the instance's signature, a0 or CM type require ``ctx``.  The
-    period-dictionary relation between automorphic and motivic periods is
-    conditional and only included when ``tate`` is set.  The pairing
-    family (Petersson factorization, pairing proportionality, and the
-    automorphic-period definition) belongs to the standard-value chain
-    and can be dropped so residuals stay in dictionary form.
+    Relations that depend on an instance belong to the comparison that
+    uses them: the comparator adds :func:`character_relations` and,
+    conditionally, :func:`period_dictionary`; :func:`standard_vs_refined`
+    adds :func:`pairing_relations`.
     """
-    rels: list[Relation] = []
-
-    def rel(vec: PeriodMonomial, lv: Level, tag: str):
-        if lv.value <= level.value:
-            rels.append(Relation(vec, lv, tag))
-
-    rel(mono((CM_TYPE_SIGN, 2)), Level.Q, "cm-type-sign-squared")
-    rel(
-        mono((QUAD_PERIOD, 1), (IMAG_PRODUCT, -1), (D_HALF, -1)),
-        Level.Q,
-        "quad-period-factorization",
-    )
-    rel(
-        mono((FINITE_ORDER_PERIOD, 1), (D_HALF, -1), (GAUSS_SUM, -1)),
-        Level.Q,
-        "finite-order-period-factorization",
-    )
+    rels = [
+        Relation(mono((CM_TYPE_SIGN, 2)), "cm-type-sign-squared"),
+        Relation(
+            mono((QUAD_PERIOD, 1), (IMAG_PRODUCT, -1), (D_HALF, -1)),
+            "quad-period-factorization",
+        ),
+        Relation(
+            mono((FINITE_ORDER_PERIOD, 1), (D_HALF, -1), (GAUSS_SUM, -1)),
+            "finite-order-period-factorization",
+        ),
+    ]
     for g in (CM_TYPE_SIGN, D_HALF, IMAG_PRODUCT, QUAD_PERIOD):
         if rationality_of(g).trivial_at(level):
-            rels.append(Relation(mono((g, 1)), level, f"rationality:{g.name()}"))
+            rels.append(Relation(mono((g, 1)), f"rationality:{g.name()}"))
+    return RelationLattice(level=level, relations=tuple(rels))
 
-    if ctx is not None:
-        if ctx.signature is not None:
-            if include_pairing:
-                rel(
-                    mono(
-                        (auto_period(PI, ctx.signature), 1),
-                        (TWO_PI_I_HALF, 4 * ctx.a0),
-                        (petersson_period(ctx.qpet_tag()), 1),
-                    ),
-                    Level.Q,
-                    "auto-period-definition",
-                )
-            if tate:
-                vec = {auto_period(PI, ctx.signature): 1}
-                for t, c in ctx.signature:
-                    vec[motivic_q(PI, c, t)] = vec.get(motivic_q(PI, c, t), 0) - 1
-                rel(PeriodMonomial.from_dict(vec), Level.Q, "period-dictionary")
-        if ctx.model is not None and ctx.phi is not None:
-            for t in ctx.phi.sorted_members():
-                rel(
-                    mono(
-                        (motivic_q(ETA, 0, t), 1),
-                        (cm_period(ETA_DUAL_C, t), -1),
-                    ),
-                    Level.Q,
-                    "motivic-q0-of-character",
-                )
-                rel(
-                    mono(
-                        (motivic_q(ETA, 1, t), 1),
-                        (cm_period(ETA_DUAL, t), -1),
-                    ),
-                    Level.Q,
-                    "motivic-q1-of-character",
-                )
-                rel(
-                    mono(
-                        (cm_period(ETA_DUAL_C, t), 1),
-                        (cm_period(ETA_DUAL, ctx.model.conj[t]), -1),
-                    ),
-                    Level.Q,
-                    "cm-period-conjugation",
-                )
-        if include_pairing:
-            rel(
+
+def period_dictionary(signature: tuple[tuple[str, int], ...]) -> Relation:
+    """The conditional dictionary between the automorphic period and motivic periods."""
+    vec = {auto_period(PI, signature): 1}
+    for t, c in signature:
+        vec[motivic_q(PI, c, t)] = vec.get(motivic_q(PI, c, t), 0) - 1
+    return Relation(PeriodMonomial.from_dict(vec), "period-dictionary")
+
+
+def character_relations(model: CMFieldModel, phi: CMType) -> tuple[Relation, ...]:
+    """The character's motivic periods as CM periods, at each place of the CM type."""
+    rels: list[Relation] = []
+    for t in phi.sorted_members():
+        rels.append(
+            Relation(
+                mono(
+                    (motivic_q(ETA, 0, t), 1),
+                    (cm_period(ETA_DUAL_C, t), -1),
+                ),
+                "motivic-q0-of-character",
+            )
+        )
+        rels.append(
+            Relation(
+                mono(
+                    (motivic_q(ETA, 1, t), 1),
+                    (cm_period(ETA_DUAL, t), -1),
+                ),
+                "motivic-q1-of-character",
+            )
+        )
+        rels.append(
+            Relation(
+                mono(
+                    (cm_period(ETA_DUAL_C, t), 1),
+                    (cm_period(ETA_DUAL, model.conj[t]), -1),
+                ),
+                "cm-period-conjugation",
+            )
+        )
+    return tuple(rels)
+
+
+def pairing_relations(level: Level, a0: int) -> tuple[Relation, ...]:
+    """The doubling pairing: its Petersson factorization, trivial only at the
+    coarser level, and its proportionality to the modified period."""
+    rels: list[Relation] = []
+    if level is Level.FGAL:
+        rels.append(
+            Relation(
                 mono(
                     (doubling_pairing(PI), 1),
-                    (TWO_PI_I_HALF, -4 * ctx.a0),
-                    (petersson_period(ctx.qpet_tag()), -1),
+                    (TWO_PI_I_HALF, -4 * a0),
+                    (petersson_period(PI), -1),
                     (CM_PERIOD_PSI, 1),
                     (CM_PERIOD_PSI_ALPHA_INV, 1),
                 ),
-                Level.FGAL,
                 "petersson-factorization",
             )
-            rel(
-                mono(
-                    (doubling_pairing(PI), 1),
-                    (Q_PI_PSI_ALPHA, 1),
-                ),
-                Level.Q,
-                "pairing-proportionality",
-            )
-
-    return RelationLattice(level=level, relations=tuple(rels))
+        )
+    rels.append(
+        Relation(
+            mono(
+                (doubling_pairing(PI), 1),
+                (Q_PI_PSI_ALPHA, 1),
+            ),
+            "pairing-proportionality",
+        )
+    )
+    return tuple(rels)
 
 
 @dataclass(frozen=True)
 class EquivalenceResult:
     equivalent: bool
     residual: PeriodMonomial
-    level: Level
 
 
 @functools.lru_cache(maxsize=256)
@@ -381,7 +357,7 @@ def equivalent_mod(
     residual = PeriodMonomial.from_dict(
         {universe[i]: e for i, e in enumerate(residual_row) if e}
     )
-    return EquivalenceResult(equivalent=residual.is_one(), residual=residual, level=lat.level)
+    return EquivalenceResult(equivalent=residual.is_one(), residual=residual)
 
 
 # Assembled sides of the identities in scope.
@@ -540,62 +516,11 @@ def standard_vs_refined(
     """
     main = standard_lvalue_period(n, m, d_plus, variant=variant)
     refined = refined_lvalue_period(n, m, d_plus, a0)
-    lat = standard_relations(level, RelationContext(a0=a0))
+    lat = standard_relations(level).with_relations(pairing_relations(level, a0))
     return equivalent_mod(main, refined, lat)
 
 
 # The end-to-end comparator.
-
-
-@dataclass(frozen=True, eq=True)
-class ComparatorInstance:
-    """Everything needed to compare the two period predictions.
-
-    ``exp_pairs`` maps each place of the CM type to the character
-    exponents (m_t, m_tbar); only their differences enter any
-    computation, which keeps conjugation of instances total.
-    """
-
-    ap: ArchParams
-    exp_pairs: dict[str, tuple[int, int]]
-    kappa: int
-
-    @property
-    def model(self) -> CMFieldModel:
-        return self.ap.model
-
-    def phi(self) -> CMType:
-        return self.ap.phi()
-
-    def diffs(self) -> dict[str, int]:
-        return {t: a - b for t, (a, b) in self.exp_pairs.items()}
-
-    @functools.cached_property
-    def analysis(self) -> InstanceAnalysis:
-        """The instance's Hodge and critical-point analysis, built on first use."""
-        return analyze_instance(self.ap, self.exp_pairs, self.kappa)
-
-    def conjugated(self, g: str) -> "ComparatorInstance":
-        """Transport the instance by a group element, re-expressed on the same CM type.
-
-        Places whose image crosses to the conjugate half flip their
-        difference and absorb the twist exponent; the twist exponent
-        itself is invariant.
-        """
-        model = self.model
-        ap2 = conjugate_arch_params(self.ap, g)
-        perm = model.element(g)
-        members = set(self.exp_pairs)
-        diffs = self.diffs()
-        pairs2: dict[str, tuple[int, int]] = {}
-        for t in self.exp_pairs:
-            gt = perm[t]
-            if gt in members:
-                d2 = diffs[gt]
-            else:
-                d2 = -diffs[model.conj[gt]] + self.kappa
-            pairs2[t] = (d2, 0)
-        return ComparatorInstance(ap=ap2, exp_pairs=pairs2, kappa=self.kappa)
 
 
 @dataclass(frozen=True)
@@ -613,14 +538,12 @@ class CompareReport:
     points: tuple[PointComparison, ...]
     all_equivalent: bool
     vacuous: bool
-    level: Level
-    tate: bool
     signature: tuple[tuple[str, int], ...]
     identity_tags: tuple[str, ...]
 
 
 def compare_automorphic_motivic(
-    inst: ComparatorInstance,
+    analysis: InstanceAnalysis,
     *,
     level: Level = Level.FGAL,
     tate: bool = True,
@@ -634,17 +557,16 @@ def compare_automorphic_motivic(
     explicitly, never folded away.  The verdict is equivalence of
     everything else modulo the declared relations.
     """
-    analysis = inst.analysis
-    n = inst.ap.n
-    model = inst.model
-    phi = inst.phi()
+    n = analysis.ap.n
+    model = analysis.model
+    phi = analysis.phi()
     d_plus = model.degree_plus
     if analysis.counts_arch != analysis.counts_hodge:
         raise PreconditionError("signature counts disagree between the two dictionaries")
     sig_items = tuple(sorted(analysis.counts_arch.items()))
 
-    ctx = RelationContext(model=model, phi=phi, signature=sig_items)
-    lat = standard_relations(level, ctx, tate=tate, include_pairing=False)
+    dictionary = (period_dictionary(sig_items),) if tate else ()
+    lat = standard_relations(level).with_relations(dictionary + character_relations(model, phi))
 
     expected_shift = -n * d_plus  # half-unit offset between the two evaluation points
     comparisons = []
@@ -669,8 +591,6 @@ def compare_automorphic_motivic(
         points=tuple(comparisons),
         all_equivalent=all(c.equivalent for c in comparisons),
         vacuous=not comparisons,
-        level=level,
-        tate=tate,
         signature=sig_items,
         identity_tags=lat.tags(),
     )

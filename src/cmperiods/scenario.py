@@ -33,9 +33,8 @@ from .cmfield import (
 )
 from .errors import CMPeriodsError, ScenarioError
 from .hecke import InfinityType
-from .hodge import ArchParams, split_index_failures
+from .hodge import ArchParams, InstanceAnalysis, analyze_instance, split_index_failures
 from .periods import (
-    ComparatorInstance,
     Level,
     compare_automorphic_motivic,
     normalizing_factor_closed,
@@ -104,7 +103,7 @@ class Scenario:
     options: Options
     # One instance per (arch, character) pair, so checks on the same pair
     # share its analysis.
-    instances: dict[tuple[str, str], ComparatorInstance] = field(default_factory=dict)
+    instances: dict[tuple[str, str], InstanceAnalysis] = field(default_factory=dict)
 
 
 def _is_int(value: Any) -> bool:
@@ -144,6 +143,14 @@ def _member(spec: dict, key: str, where: str) -> dict:
     return _shaped(spec[key], dict, f"{where}.{key}")
 
 
+def _names(value: Any, where: str) -> list[str]:
+    """``value`` if it is a JSON array of strings."""
+    for i, name in enumerate(_shaped(value, list, where)):
+        if not isinstance(name, str):
+            raise ScenarioError(f"{where}[{i}] must be a string, got {reprlib.repr(name)}")
+    return value
+
+
 def _named(raw: dict, block: str) -> Iterator[tuple[str, str, dict]]:
     """(name, place, spec) for each entry of a top-level block of named objects."""
     for name, spec in _shaped(raw.get(block, {}), dict, block).items():
@@ -167,9 +174,12 @@ def _parse_model(spec: Any) -> CMFieldModel:
         raise ScenarioError(f"unknown builtin field model {name!r}")
     try:
         return CMFieldModel(
-            embeddings=tuple(spec["embeddings"]),
-            conj=dict(spec["conj"]),
-            group={name: dict(perm) for name, perm in _member(spec, "group", "field_model").items()},
+            embeddings=tuple(_names(spec["embeddings"], "field_model.embeddings")),
+            conj=dict(_member(spec, "conj", "field_model")),
+            group={
+                name: dict(_shaped(perm, dict, f"field_model.group.{name}"))
+                for name, perm in _member(spec, "group", "field_model").items()
+            },
         )
     except KeyError as exc:
         raise ScenarioError(f"field_model is missing key {exc}") from exc
@@ -230,20 +240,21 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError(f"expected schema {SCENARIO_SCHEMA!r}, got {raw.get('schema')!r}")
     try:
         model = _parse_model(raw.get("field_model", {"builtin": "cyclic:1"}))
-        cm_type = (
-            CMType(frozenset(raw["cm_type"])) if "cm_type" in raw else model.canonical_cm_type()
-        )
+        if "cm_type" in raw:
+            cm_type = CMType(frozenset(_names(raw["cm_type"], "cm_type")))
+        else:
+            cm_type = model.canonical_cm_type()
         cm_type.validate(model)
         family = None
         fam_spec = raw.get("emb_family")
         if fam_spec == {"builtin": "regular"} or fam_spec == "regular":
             family = regular_family(model)
         elif fam_spec is not None:
-            _shaped(fam_spec, dict, "emb_family")
+            action = _member(_shaped(fam_spec, dict, "emb_family"), "action", "emb_family")
             family = EmbFamilyModel(
-                points=tuple(fam_spec["points"]),
+                points=tuple(_names(fam_spec["points"], "emb_family.points")),
                 base=fam_spec["base"],
-                action={g: dict(p) for g, p in _member(fam_spec, "action", "emb_family").items()},
+                action={g: dict(_shaped(p, dict, f"emb_family.action.{g}")) for g, p in action.items()},
             )
             family.validate(model)
 
@@ -255,7 +266,7 @@ def parse_scenario(path: str) -> Scenario:
         weight_params = {}
         for name, where, spec in _named(raw, "weights"):
             rows = {
-                t: tuple(_int(a, f"{where}.entries.{t}") for a in row)
+                t: tuple(_int(a, f"{where}.entries.{t}") for a in _shaped(row, list, f"{where}.entries.{t}"))
                 for t, row in _member(spec, "entries", where).items()
             }
             a0, n = _int(spec["a0"], f"{where}.a0"), _int(spec["n"], f"{where}.n")
@@ -267,7 +278,7 @@ def parse_scenario(path: str) -> Scenario:
         arch_params = {}
         for name, where, spec in _named(raw, "arch_params"):
             entries = {
-                t: tuple(_fraction(x, f"{where}.{t}") for x in row)
+                t: tuple(_fraction(x, f"{where}.{t}") for x in _shaped(row, list, f"{where}.{t}"))
                 for t, row in _member(spec, "entries", where).items()
             }
             arch_params[name] = ArchParams(entries, _int(spec["n"], f"{where}.n"), model)
@@ -387,12 +398,12 @@ def _mono_dict(mono) -> dict[str, int]:
     return {g.name(): e for g, e in mono.exps}
 
 
-def _instance_for(scn: Scenario, chk: dict) -> ComparatorInstance:
+def _instance_for(scn: Scenario, chk: dict) -> InstanceAnalysis:
     key = (chk["arch"], chk["character"])
     if key not in scn.instances:
         char = scn.characters[chk["character"]]
-        scn.instances[key] = ComparatorInstance(
-            ap=scn.arch_params[chk["arch"]], exp_pairs=char["pairs"], kappa=char["kappa"]
+        scn.instances[key] = analyze_instance(
+            scn.arch_params[chk["arch"]], char["pairs"], char["kappa"]
         )
     return scn.instances[key]
 
@@ -402,7 +413,7 @@ Outcome = tuple[str, dict, tuple[str, ...]]
 
 
 def _run_critical(scn: Scenario, chk: dict) -> Outcome:
-    analysis = _instance_for(scn, chk).analysis
+    analysis = _instance_for(scn, chk)
     crit = analysis.window
     details = {
         "exponents": list(analysis.exponents),
@@ -418,7 +429,7 @@ def _run_critical(scn: Scenario, chk: dict) -> Outcome:
 
 
 def _run_signature(scn: Scenario, chk: dict) -> Outcome:
-    analysis = _instance_for(scn, chk).analysis
+    analysis = _instance_for(scn, chk)
     split_ok = not split_index_failures(analysis)
     ok = analysis.counts_arch == analysis.counts_hodge and split_ok
     return (
@@ -479,10 +490,10 @@ def _run_lemma_d(scn: Scenario, chk: dict) -> Outcome:
 
 
 def _run_compare(scn: Scenario, chk: dict) -> Outcome:
-    inst = _instance_for(scn, chk)
+    analysis = _instance_for(scn, chk)
     level = scn.options.level_enum()
     tate = scn.options.tate_enabled()
-    report = compare_automorphic_motivic(inst, level=level, tate=tate)
+    report = compare_automorphic_motivic(analysis, level=level, tate=tate)
     points = [
         {
             "m": p.m,
@@ -495,9 +506,9 @@ def _run_compare(scn: Scenario, chk: dict) -> Outcome:
         for p in report.points
     ]
     aux = standard_vs_refined(
-        n=inst.ap.n,
-        m=max((p.m for p in report.points), default=inst.ap.n + 1),
-        d_plus=inst.model.degree_plus,
+        n=analysis.ap.n,
+        m=max((p.m for p in report.points), default=analysis.ap.n + 1),
+        d_plus=analysis.model.degree_plus,
         a0=chk.get("a0", 0),
         variant=scn.options.d_exponent,
         level=level,

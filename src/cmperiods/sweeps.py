@@ -13,8 +13,14 @@ from fractions import Fraction
 
 from .cmfield import CMFieldModel, cyclic_model
 from .hecke import InfinityType
-from .hodge import ArchParams, critical_points_satisfy_bounds, split_index_failures
-from .periods import ComparatorInstance, Level, compare_automorphic_motivic
+from .hodge import (
+    ArchParams,
+    InstanceAnalysis,
+    analyze_instance,
+    critical_points_satisfy_bounds,
+    split_index_failures,
+)
+from .periods import Level, compare_automorphic_motivic
 from .weights import (
     Signature,
     WeightParam,
@@ -45,8 +51,8 @@ def _model(d: int) -> CMFieldModel:
     return _MODEL_CACHE[d]
 
 
-def random_instance(rng: random.Random, bounds: SweepBounds = DEFAULT_BOUNDS) -> ComparatorInstance:
-    """A random regular instance within the given bounds.
+def random_instance(rng: random.Random, bounds: SweepBounds = DEFAULT_BOUNDS) -> InstanceAnalysis:
+    """A random regular instance within the given bounds, analysed.
 
     The archimedean parameters are strictly decreasing half-integers of
     the right parity, the character exponents share one weight, and every
@@ -77,8 +83,7 @@ def random_instance(rng: random.Random, bounds: SweepBounds = DEFAULT_BOUNDS) ->
         )
         if degenerate:
             continue
-        ap = ArchParams(entries, n, model)
-        return ComparatorInstance(ap=ap, exp_pairs=pairs, kappa=kappa)
+        return analyze_instance(ArchParams(entries, n, model), pairs, kappa)
 
 
 @dataclass
@@ -126,7 +131,7 @@ def run_bounds_sweep(
     stats = SweepStats()
     for _ in range(count):
         inst = random_instance(rng, bounds)
-        report = critical_points_satisfy_bounds(inst.analysis)
+        report = critical_points_satisfy_bounds(inst)
         stats.instances += 1
         stats.points_checked += len(report.points_checked)
         if report.vacuous:
@@ -145,11 +150,11 @@ def run_signature_sweep(
     for _ in range(count):
         inst = random_instance(rng, bounds)
         stats.instances += 1
-        counts_arch, counts_hodge = inst.analysis.counts_arch, inst.analysis.counts_hodge
+        counts_arch, counts_hodge = inst.counts_arch, inst.counts_hodge
         if counts_arch != counts_hodge:
             stats.failures.append(f"signature mismatch {counts_arch} vs {counts_hodge}")
             continue
-        stats.failures.extend(split_index_failures(inst.analysis))
+        stats.failures.extend(split_index_failures(inst))
     return stats
 
 
@@ -217,7 +222,7 @@ def run_equivariance_sweep(
         stats.instances += 1
         for g in sorted(model.group):
             conj = inst.conjugated(g)
-            if conj.analysis.exponents != inst.analysis.exponents:
+            if conj.exponents != inst.exponents:
                 stats.failures.append(f"exponent set moved under {g}")
                 continue
             report = compare_automorphic_motivic(conj, level=level, tate=tate)

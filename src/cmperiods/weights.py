@@ -104,8 +104,8 @@ def doubling_weight(mu: WeightParam, psi, sig: Signature) -> WeightParam:
         b_{t,i} = a_{t,i-r} + m_{tbar} - m_t + r        for r <  i <= n,
         b_0     = a_0 - n * sum over the CM type of m_{tbar}.
 
-    The result is always block dominant for ``sig``; a result that is not
-    raises DominanceError.
+    The result is block dominant for ``sig``; the callers that report
+    block dominance decide it with :func:`is_block_dominant`.
     """
     if not is_dominant(mu):
         raise DominanceError("doubling_weight requires a dominant input weight")
@@ -121,10 +121,7 @@ def doubling_weight(mu: WeightParam, psi, sig: Signature) -> WeightParam:
         row = [a[s + i - 1] + m_bar - m_t - s for i in range(1, r + 1)]
         row += [a[i - r - 1] + m_bar - m_t + r for i in range(r + 1, mu.n + 1)]
         entries[t] = tuple(row)
-    out = WeightParam(entries, mu.a0 - mu.n * total_bar, mu.n)
-    if not is_block_dominant(out, sig):
-        raise DominanceError("doubling parameter is not block dominant for the signature")
-    return out
+    return WeightParam(entries, mu.a0 - mu.n * total_bar, mu.n)
 
 
 def dual_weight(w: WeightParam) -> WeightParam:
@@ -198,50 +195,37 @@ def line_bundle_weight(m: int, kappa: int, n: int, phi: CMType) -> WeightParam:
     return WeightParam({t: row for t in phi.sorted_members()}, 0, 2 * n)
 
 
-def extend_weight(
-    w: WeightParam, model: CMFieldModel, convention: str = "dual"
-) -> dict[str, tuple[int, ...]]:
+def extend_weight(w: WeightParam, model: CMFieldModel) -> dict[str, tuple[int, ...]]:
     """Extend entry lists from the CM type of ``w`` to every embedding.
 
-    ``dual`` (default) sets the conjugate row to the reversed negation, the
-    same duality used by :func:`dual_weight`; ``mirror`` reverses without
-    negating.  The choice is a convention flag because only the dual
-    variant makes conjugation interact exactly with the doubling
-    parameter.
+    The conjugate row is the reversed negation, the same duality used by
+    :func:`dual_weight`; this is the extension under which conjugation
+    interacts exactly with the doubling parameter.
     """
     full = dict(w.entries)
     for t, row in w.entries.items():
-        if convention == "dual":
-            full[model.conj[t]] = tuple(-a for a in reversed(row))
-        elif convention == "mirror":
-            full[model.conj[t]] = tuple(reversed(row))
-        else:
-            raise PreconditionError(f"unknown extension convention {convention!r}")
+        full[model.conj[t]] = tuple(-a for a in reversed(row))
     if set(full) != set(model.embeddings):
         raise PreconditionError("weight is not indexed by a CM type of the model")
     return full
 
 
-def conjugate_weight(
-    w: WeightParam, g: str, model: CMFieldModel, convention: str = "dual"
-) -> WeightParam:
+def conjugate_weight(w: WeightParam, g: str, model: CMFieldModel) -> WeightParam:
     """Pull the weight back along g and restrict to the original CM type.
 
-    The row at t becomes the extended row at g(t).  Under the ``dual``
-    convention the scalar absorbs the entry sums of the rows that cross
-    to the conjugate half, which is exactly the correction that makes
-    conjugation commute with :func:`doubling_weight`; under ``mirror``
-    the scalar is left unchanged.
+    The row at t becomes the extended row at g(t).  The scalar absorbs the
+    entry sums of the rows that cross to the conjugate half, which is
+    exactly the correction that makes conjugation commute with
+    :func:`doubling_weight`.
     """
-    full = extend_weight(w, model, convention)
+    full = extend_weight(w, model)
     perm = model.element(g)
     phi_members = set(w.entries)
     entries = {t: full[perm[t]] for t in w.entries}
     a0 = w.a0
-    if convention == "dual":
-        for t in w.entries:
-            if perm[t] not in phi_members:
-                a0 += sum(w.entries[model.conj[perm[t]]])
+    for t in w.entries:
+        if perm[t] not in phi_members:
+            a0 += sum(w.entries[model.conj[perm[t]]])
     return WeightParam(entries, a0, w.n)
 
 

@@ -119,7 +119,7 @@ def test_criterion_03_critical_points_satisfy_bounds(instance_sweep):
     for inst in instance_sweep:
         n = inst.ap.n
         kappa = inst.kappa
-        counts = signature_from_arch(inst.ap, inst.diffs(), kappa)
+        counts = signature_from_arch(inst.ap, inst.diffs, kappa)
         tensor = tensor_hodge(
             hodge_from_arch_params(inst.ap),
             hodge_of_character(inst.model, inst.exp_pairs, kappa),
@@ -146,7 +146,7 @@ def test_criterion_03_critical_points_satisfy_bounds(instance_sweep):
 
 def test_criterion_04_signature_agreement(instance_sweep):
     for inst in instance_sweep:
-        counts_arch = signature_from_arch(inst.ap, inst.diffs(), inst.kappa)
+        counts_arch = signature_from_arch(inst.ap, inst.diffs, inst.kappa)
         counts_hodge = signature_from_hodge(
             hodge_from_arch_params(inst.ap),
             hodge_of_character(inst.model, inst.exp_pairs, inst.kappa),

@@ -201,8 +201,16 @@ class TestParsing:
                 ("signatures.sig.pairs.t1", ("signatures", "sig", "pairs", "t1"), [0.5, 1.5]),
                 ("weights.mu.entries.t1", ("weights", "mu", "entries", "t1"), [2, 0.5]),
                 ("arch_params.Pi.n", ("arch_params", "Pi", "n"), 2.0),
+                ("arch_params.Pi.t1", ("arch_params", "Pi", "entries", "t1"), 5),
+                ("cm_type", ("cm_type",), 5),
+                ("cm_type[0]", ("cm_type",), [5, "t2"]),
+                ("field_model.group.e", ("field_model",), {
+                    "embeddings": ["t1", "c1"], "conj": {"t1": "c1", "c1": "t1"}, "group": {"e": 5},
+                }),
+                ("emb_family.points", ("emb_family",), {"points": 5, "base": "p", "action": {}}),
             ]
-        ],
+        ]
+        + [pytest.param("weights.mu.entries.t1", ("weights", "mu", "entries", "t1"), 5, id="weights-row")],
     )
     def test_malformed_shape_exits_two(self, tmp_path, capsys, where, path, value):
         # A container of the wrong JSON type, or a number that is not an
@@ -365,6 +373,18 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "closed form" in out
         assert "identities:" in out
+
+    def test_explain_compare_names_every_cited_identity(self, capsys):
+        cited = set()
+        for level in ("q", "fgal"):
+            for tate in ("on", "off"):
+                main(["check", str(DEMO), "--level", level, "--tate", tate])
+                report = json.loads(capsys.readouterr().out)
+                cited.update(tag for c in report["checks"] if c["kind"] == "compare" for tag in c["identities"])
+        assert main(["explain", "compare"]) == 0
+        out = capsys.readouterr().out
+        assert len(cited) == 11
+        assert [tag for tag in sorted(cited) if tag not in out] == []
 
     def test_demo_scenario_passes(self, capsys):
         assert main(["check", str(DEMO)]) == 0

@@ -197,7 +197,7 @@ class TestSignatureMaps:
         rng = random.Random(9)
         for _ in range(300):
             inst = random_instance(rng)
-            counts_arch = signature_from_arch(inst.ap, inst.diffs(), inst.kappa)
+            counts_arch = signature_from_arch(inst.ap, inst.diffs, inst.kappa)
             counts_hodge = signature_from_hodge(
                 hodge_from_arch_params(inst.ap),
                 hodge_of_character(inst.model, inst.exp_pairs, inst.kappa),
@@ -303,7 +303,7 @@ class TestCriticalPointsSatisfyBounds:
 
         for _ in range(100):
             inst = random_instance(rng, SweepBounds(n_max=1))
-            assert critical_points_satisfy_bounds(inst.analysis).ok
+            assert critical_points_satisfy_bounds(inst).ok
 
     def test_vacuous_small_case(self):
         ap = arch(ONE_PAIR, 2, t1=(HALF, -HALF))
@@ -315,9 +315,9 @@ class TestCriticalPointsSatisfyBounds:
         nonvacuous = 0
         for _ in range(400):
             inst = random_instance(rng)
-            report = critical_points_satisfy_bounds(inst.analysis)
+            report = critical_points_satisfy_bounds(inst)
             assert report.ok, report
-            counts = signature_from_arch(inst.ap, inst.diffs(), inst.kappa)
+            counts = signature_from_arch(inst.ap, inst.diffs, inst.kappa)
             tensor = tensor_hodge(
                 hodge_from_arch_params(inst.ap),
                 hodge_of_character(inst.model, inst.exp_pairs, inst.kappa),
@@ -343,7 +343,7 @@ class TestInstanceAnalysis:
             assert (a.rank_n, a.rank_1, a.tensor, a.window) == (m_n, m_1, tensor, crit)
             assert a.exponents == hodge_exponents(tensor)
             assert a.admissible == tuple(m for m in crit.points() if 2 * m > 2 * inst.ap.n - inst.kappa)
-            assert a.counts_arch == signature_from_arch(inst.ap, inst.diffs(), inst.kappa)
+            assert a.counts_arch == signature_from_arch(inst.ap, inst.diffs, inst.kappa)
             assert a.counts_hodge == signature_from_hodge(m_n, m_1, inst.phi())
 
     def test_degenerate_instance_names_the_place(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cmperiods.cmfield import CMType, cyclic_model
 from cmperiods.errors import NotCriticalError
-from cmperiods.hodge import ArchParams
+from cmperiods.hodge import ArchParams, analyze_instance
 from cmperiods.periods import (
     CM_TYPE_SIGN,
     D_HALF,
@@ -20,13 +20,12 @@ from cmperiods.periods import (
     Q_PI_PSI_ALPHA,
     QUAD_PERIOD,
     TWO_PI_I_HALF,
-    ComparatorInstance,
     Level,
     PeriodMonomial,
-    RelationContext,
     RelationLattice,
     arch_zeta,
     auto_period,
+    character_relations,
     cm_period,
     compare_automorphic_motivic,
     deligne_period_prediction,
@@ -39,6 +38,7 @@ from cmperiods.periods import (
     normalizing_factor_closed,
     normalizing_factor_product,
     opaque,
+    pairing_relations,
     rankin_lvalue_period,
     refined_lvalue_period,
     standard_lvalue_period,
@@ -260,10 +260,10 @@ class TestAssemblies:
 
     def n1_instance(self):
         ap = ArchParams({"t1": (Fraction(2),)}, 1, ONE_PAIR)
-        return ComparatorInstance(ap=ap, exp_pairs={"t1": (1, -1)}, kappa=1)
+        return analyze_instance(ap, {"t1": (1, -1)}, 1)
 
     def test_deligne_parity_branches(self):
-        analysis = self.n1_instance().analysis
+        analysis = self.n1_instance()
         even = deligne_period_prediction(analysis, 2)
         odd = deligne_period_prediction(analysis, 3)
         assert even.exponent(CM_TYPE_SIGN) == 0
@@ -274,13 +274,13 @@ class TestAssemblies:
 
     def test_deligne_rejects_noncritical_point(self):
         with pytest.raises(NotCriticalError):
-            deligne_period_prediction(self.n1_instance().analysis, 4)
+            deligne_period_prediction(self.n1_instance(), 4)
 
 
 class TestComparator:
     def n1_instance(self):
         ap = ArchParams({"t1": (Fraction(2),)}, 1, ONE_PAIR)
-        return ComparatorInstance(ap=ap, exp_pairs={"t1": (1, -1)}, kappa=1)
+        return analyze_instance(ap, {"t1": (1, -1)}, 1)
 
     def test_rank_one_manual_exponent_sums(self):
         # Everything below is recomputed by hand for A = (2), exponents
@@ -298,7 +298,7 @@ class TestComparator:
                 auto_period("Pi", (("t1", 0),)): 1,
                 cm_period("eta-dual", "c1"): 1,
             }
-            mot = deligne_period_prediction(inst.analysis, m)
+            mot = deligne_period_prediction(inst, m)
             expected_mot = {
                 TWO_PI_I_HALF: 2 * m,
                 D_HALF: 1,
@@ -365,19 +365,18 @@ class TestComparator:
 
 class TestRelationContextContents:
     def test_lattice_tags(self):
-        ctx = RelationContext(
-            model=ONE_PAIR, phi=PHI1, signature=(("t1", 0),)
-        )
-        lat = standard_relations(Level.FGAL, ctx, tate=True)
-        tags = set(lat.tags())
+        # The comparator's lattice at signature t1:0 carries the character
+        # family and, with tate, the period dictionary; the pairing family
+        # belongs to standard_vs_refined.
+        inst = analyze_instance(ArchParams({"t1": (Fraction(2),)}, 1, ONE_PAIR), {"t1": (1, -1)}, 1)
+        tags = set(compare_automorphic_motivic(inst, tate=True).identity_tags)
         assert "period-dictionary" in tags
-        assert "petersson-factorization" in tags
         assert "motivic-q0-of-character" in tags
         assert "cm-period-conjugation" in tags
-        no_tate = standard_relations(Level.FGAL, ctx, tate=False)
-        assert "period-dictionary" not in set(no_tate.tags())
+        assert tags >= {r.tag for r in character_relations(ONE_PAIR, PHI1)}
+        assert "petersson-factorization" in {r.tag for r in pairing_relations(Level.FGAL, 0)}
+        no_tate = compare_automorphic_motivic(inst, tate=False).identity_tags
+        assert "period-dictionary" not in set(no_tate)
 
     def test_q_level_excludes_fgal_relations(self):
-        ctx = RelationContext(model=ONE_PAIR, phi=PHI1, signature=(("t1", 0),))
-        lat = standard_relations(Level.Q, ctx)
-        assert "petersson-factorization" not in set(lat.tags())
+        assert "petersson-factorization" not in {r.tag for r in pairing_relations(Level.Q, 0)}
