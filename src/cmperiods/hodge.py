@@ -4,13 +4,13 @@ The archimedean parameters of a regular rank-n datum are strictly
 decreasing half-integers; the dictionary between those parameters and
 dominant weights, the induced Hodge exponents, the combinatorial
 criterion for critical integers, and the per-place signature counts all
-live here, in exact rational arithmetic.
+live here, in exact integer arithmetic: a half-integer parameter is
+stored doubled, and a half-integer bound w/2 is compared as 2p with w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cmfield import CMFieldModel, CMType
 from .errors import (
@@ -23,36 +23,42 @@ from .hecke import InfinityType
 from .weights import Signature, WeightParam, is_dominant
 
 
+def arch_row_defect(row: tuple[int, ...], n: int) -> str | None:
+    """Why ``row`` is not a doubled parameter row of rank ``n``, or None if it is one."""
+    if len(row) != n:
+        return f"must have length {n}"
+    if any(a <= b for a, b in zip(row, row[1:])):
+        return "must be strictly decreasing"
+    if any(type(a) is not int for a in row):
+        return "must be integers"
+    if any((a - n + 1) % 2 for a in row):
+        return "must share the parity of n-1"
+    return None
+
+
 @dataclass(frozen=True, eq=True)
 class ArchParams:
     """Strictly decreasing half-integer parameters (A_{t,1},...,A_{t,n}) per place.
 
-    Doubled entries are integers sharing the parity of n-1, so the induced
-    Hodge exponents below are integers.
+    Stored doubled: ``doubled[t]`` holds the integers 2*A_{t,i}, which share
+    the parity of n-1, so the induced Hodge exponents below are integers.
     """
 
-    entries: dict[str, tuple[Fraction, ...]]
+    doubled: dict[str, tuple[int, ...]]
     n: int
     model: CMFieldModel
 
     def __post_init__(self):
-        for t, row in self.entries.items():
-            if len(row) != self.n:
-                raise PreconditionError(f"parameter list at {t!r} must have length {self.n}")
-            if any(a <= b for a, b in zip(row, row[1:])):
-                raise PreconditionError(f"parameters at {t!r} must be strictly decreasing")
-            for a in row:
-                doubled = 2 * a
-                if doubled.denominator != 1:
-                    raise PreconditionError("doubled parameters must be integers")
-                if (doubled.numerator - (self.n - 1)) % 2 != 0:
-                    raise PreconditionError("doubled parameters must share the parity of n-1")
+        for t, row in self.doubled.items():
+            defect = arch_row_defect(row, self.n)
+            if defect:
+                raise PreconditionError(f"doubled parameters at {t!r} {defect}")
 
     def phi(self) -> CMType:
-        return CMType(frozenset(self.entries))
+        return CMType(frozenset(self.doubled))
 
     def taus(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
+        return tuple(sorted(self.doubled))
 
 
 def archimedean_params(mu: WeightParam, model: CMFieldModel) -> ArchParams:
@@ -60,33 +66,30 @@ def archimedean_params(mu: WeightParam, model: CMFieldModel) -> ArchParams:
     if not is_dominant(mu):
         raise DominanceError("archimedean parameters require a dominant weight")
     n = mu.n
-    entries = {}
-    for t, a in mu.entries.items():
-        entries[t] = tuple(
-            Fraction(-2 * a[n - j] + (n + 1) - 2 * j, 2) for j in range(1, n + 1)
-        )
-    return ArchParams(entries, n, model)
+    doubled = {
+        t: tuple(-2 * a[n - j] + (n + 1) - 2 * j for j in range(1, n + 1))
+        for t, a in mu.entries.items()
+    }
+    return ArchParams(doubled, n, model)
 
 
 def weight_from_arch_params(ap: ArchParams) -> WeightParam:
-    """Inverse dictionary a_{t,i} = -A_{t,n+1-i} - (n+1)/2 + i, with scalar 0."""
+    """Inverse dictionary a_{t,i} = -A_{t,n+1-i} - (n+1)/2 + i, with scalar 0.
+
+    A doubled parameter has the parity of n-1, so the halving is exact.
+    """
     n = ap.n
-    entries = {}
-    for t, row in ap.entries.items():
-        vals = []
-        for i in range(1, n + 1):
-            v = -row[n - i] - Fraction(n + 1, 2) + i
-            if v.denominator != 1:
-                raise PreconditionError("parameter parity does not yield an integral weight")
-            vals.append(int(v))
-        entries[t] = tuple(vals)
+    entries = {
+        t: tuple((-row[n - i] - n - 1) // 2 + i for i in range(1, n + 1))
+        for t, row in ap.doubled.items()
+    }
     return WeightParam(entries, 0, n)
 
 
-def extend_arch_params(ap: ArchParams) -> dict[str, tuple[Fraction, ...]]:
-    """Extend to all embeddings: the conjugate row is the reversed negation."""
-    full = dict(ap.entries)
-    for t, row in ap.entries.items():
+def extend_arch_params(ap: ArchParams) -> dict[str, tuple[int, ...]]:
+    """Extend the doubled rows to all embeddings: the conjugate row is the reversed negation."""
+    full = dict(ap.doubled)
+    for t, row in ap.doubled.items():
         full[ap.model.conj[t]] = tuple(-a for a in reversed(row))
     return full
 
@@ -95,7 +98,7 @@ def conjugate_arch_params(ap: ArchParams, g: str) -> ArchParams:
     """Pull back along a group element, restricted to the original CM type."""
     full = extend_arch_params(ap)
     perm = ap.model.element(g)
-    return ArchParams({t: full[perm[t]] for t in ap.entries}, ap.n, ap.model)
+    return ArchParams({t: full[perm[t]] for t in ap.doubled}, ap.n, ap.model)
 
 
 @dataclass(frozen=True, eq=True)
@@ -123,16 +126,12 @@ def hodge_from_arch_params(ap: ArchParams) -> HodgeData:
     n = ap.n
     w = n - 1
     pairs = {}
-    for t, row in ap.entries.items():
-        ps = []
-        for a in row:
-            p = -a + Fraction(w, 2)
-            if p.denominator != 1:
-                raise DegenerateInputError("parameter parity does not yield integer exponents")
-            ps.append(int(p))
-        # Parameters decrease, so p increases; store pairs by decreasing p.
-        pairs[t] = tuple((p, w - p) for p in sorted(ps, reverse=True))
-        pairs[ap.model.conj[t]] = tuple((w - p, p) for p in sorted(ps))
+    for t, row in ap.doubled.items():
+        # 2p = w - 2A is even by the parity of the doubled row.  Parameters
+        # decrease, so p increases; store pairs by decreasing p.
+        ps = [(w - a) // 2 for a in row]
+        pairs[t] = tuple((p, w - p) for p in reversed(ps))
+        pairs[ap.model.conj[t]] = tuple((w - p, p) for p in ps)
     return HodgeData(n=n, weight=w, pairs=pairs)
 
 
@@ -193,14 +192,15 @@ def critical_range(exponents, weight: int) -> CriticalRange:
     """Critical integers from the exponent set of a pure datum.
 
     The range is (max{p < w/2}, min{p > w/2}]; the middle exponent w/2 must
-    not occur, and both sides must be populated.
+    not occur, and both sides must be populated.  Each p is compared as 2p
+    with w.
     """
     exps = sorted(set(exponents))
-    half = Fraction(weight, 2)
-    if any(p == half for p in exps):
+    if any(2 * p == weight for p in exps):
+        half = weight // 2 if weight % 2 == 0 else f"{weight}/2"
         raise NotCriticalError(f"middle exponent {half} occurs; no critical range")
-    below = [p for p in exps if p < half]
-    above = [p for p in exps if p > half]
+    below = [p for p in exps if 2 * p < weight]
+    above = [p for p in exps if 2 * p > weight]
     if not below or not above:
         raise DegenerateInputError("exponents lie on one side of the middle; range unbounded")
     return CriticalRange(lo=max(below), hi=min(above))
@@ -215,10 +215,10 @@ def signature_from_arch(
     value of the tested expression is degenerate and rejected.
     """
     out = {}
-    for t, row in ap.entries.items():
+    for t, row in ap.doubled.items():
         count = 0
         for a in row:
-            val = 2 * diffs[t] - kappa + 2 * a
+            val = 2 * diffs[t] - kappa + a
             if val == 0:
                 raise DegenerateInputError(f"vanishing comparison at {t!r}")
             if val < 0:
@@ -339,7 +339,7 @@ def analyze_instance(
     counts_hodge = signature_from_hodge(rank_n, rank_1, ap.phi())
     exponents = hodge_exponents(tensor)
     window = critical_range(exponents, tensor.weight)
-    threshold = Fraction(2 * ap.n - kappa, 2)
+    threshold = 2 * ap.n - kappa  # m is admissible when 2m exceeds it
     return InstanceAnalysis(
         ap=ap,
         exp_pairs=exp_pairs,
@@ -350,7 +350,7 @@ def analyze_instance(
         tensor=tensor,
         exponents=exponents,
         window=window,
-        admissible=tuple(m for m in window.points() if m > threshold),
+        admissible=tuple(m for m in window.points() if 2 * m > threshold),
         counts_arch=counts_arch,
         counts_hodge=counts_hodge,
     )
@@ -376,7 +376,7 @@ class BoundsReport:
 
     ok: bool
     m: int
-    lower: Fraction
+    lower: int  # ceil((n - kappa)/2), the least integer m meeting the lower bound
     upper_terms: dict[str, tuple[int | None, int | None]]
     min_upper: int | None
 
@@ -394,7 +394,7 @@ def doubling_bounds_check(
     second is omitted (a missing constraint counts as plus infinity).
     """
     n = mu.n
-    lower = Fraction(n - kappa, 2)
+    lower = (n - kappa + 1) // 2
     upper_terms: dict[str, tuple[int | None, int | None]] = {}
     uppers: list[int] = []
     for t in mu.entries:

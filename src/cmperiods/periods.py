@@ -46,26 +46,58 @@ class Rationality(enum.Enum):
         return False
 
 
-@dataclass(frozen=True, eq=True)
 class PeriodGenerator:
-    """One formal multiplicative generator, identified by kind and tags."""
+    """One formal multiplicative generator, identified by kind and tags.
 
-    kind: str
-    args: tuple = ()
+    Interned: each ``(kind, args)`` has exactly one object, built with its
+    name and canonical sort key, so equality and hashing are by identity
+    and sorting a monomial reads a stored key.
+    """
+
+    __slots__ = ("kind", "args", "_name", "_sort_key")
+    _interned: dict[tuple, "PeriodGenerator"] = {}
+
+    def __new__(cls, kind: str, args: tuple = ()) -> "PeriodGenerator":
+        gen = cls._interned.get((kind, args))
+        if gen is None:
+            gen = cls._interned[kind, args] = object.__new__(cls)
+            init = functools.partial(object.__setattr__, gen)
+            init("kind", kind)
+            init("args", args)
+            init("_name", _generator_name(kind, args))
+            init("_sort_key", (kind, tuple(str(a) for a in args)))
+        return gen
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PeriodGenerator is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return PeriodGenerator, (self.kind, self.args)
+
+    def __repr__(self) -> str:
+        return f"PeriodGenerator(kind={self.kind!r}, args={self.args!r})"
 
     def name(self) -> str:
-        if not self.args:
-            return self.kind
+        return self._name
 
-        def fmt(a):
-            if isinstance(a, tuple):
-                return "|".join(f"{t}:{c}" for t, c in a)
-            return str(a)
+    def sort_key(self) -> tuple:
+        return self._sort_key
 
-        return f"{self.kind}({','.join(fmt(a) for a in self.args)})"
 
-    def sort_key(self):
-        return (self.kind, tuple(str(a) for a in self.args))
+def _generator_name(kind: str, args: tuple) -> str:
+    if not args:
+        return kind
+
+    def fmt(a):
+        if isinstance(a, tuple):
+            return "|".join(f"{t}:{c}" for t, c in a)
+        return str(a)
+
+    return f"{kind}({','.join(fmt(a) for a in args)})"
+
+
+def _pair_sort_key(pair: tuple[PeriodGenerator, int]) -> tuple:
+    return pair[0]._sort_key
 
 
 TWO_PI_I_HALF = PeriodGenerator("two-pi-i^1/2")
@@ -142,9 +174,7 @@ class PeriodMonomial:
 
     @classmethod
     def from_dict(cls, d: dict[PeriodGenerator, int]) -> "PeriodMonomial":
-        items = tuple(
-            sorted(((g, e) for g, e in d.items() if e != 0), key=lambda ge: ge[0].sort_key())
-        )
+        items = tuple(sorted(((g, e) for g, e in d.items() if e != 0), key=_pair_sort_key))
         return cls(items)
 
     def as_dict(self) -> dict[PeriodGenerator, int]:
@@ -209,8 +239,9 @@ class RelationLattice:
         return RelationLattice(level=self.level, relations=self.relations + extra)
 
 
+@functools.lru_cache(maxsize=None)
 def standard_relations(level: Level) -> RelationLattice:
-    """The context-free relation lattice at the requested level.
+    """The context-free relation lattice at the requested level, built once per level.
 
     Relations that depend on an instance belong to the comparison that
     uses them: the comparator adds :func:`character_relations` and,
@@ -345,7 +376,7 @@ def equivalent_mod(
     gens = set(diff.generators())
     for r in lat.relations:
         gens.update(r.vector.generators())
-    universe = tuple(sorted(gens, key=lambda g: g.sort_key()))
+    universe = tuple(sorted(gens, key=PeriodGenerator.sort_key))
     reducer = _reduction_lattice(
         tuple(r.vector for r in lat.relations), universe, lat.level
     )

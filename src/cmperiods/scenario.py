@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import reprlib
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from fractions import Fraction
 from typing import Any, Iterator
@@ -33,7 +33,13 @@ from .cmfield import (
 )
 from .errors import CMPeriodsError, ScenarioError
 from .hecke import InfinityType
-from .hodge import ArchParams, InstanceAnalysis, analyze_instance, split_index_failures
+from .hodge import (
+    ArchParams,
+    InstanceAnalysis,
+    analyze_instance,
+    arch_row_defect,
+    split_index_failures,
+)
 from .periods import (
     Level,
     compare_automorphic_motivic,
@@ -131,6 +137,14 @@ def _fraction(value: Any, where: str) -> Fraction:
     raise ScenarioError(f"{where}: rationals must be integers or [num, den] pairs with den != 0")
 
 
+def _doubled(value: Any, where: str) -> int:
+    """Twice a half-integer rational, the form in which parameters are stored."""
+    twice = 2 * _fraction(value, where)
+    if twice.denominator != 1:
+        raise ScenarioError(f"{where}: rationals must be half-integers, got {value!r}")
+    return twice.numerator
+
+
 def _shaped(value: Any, shape: type, where: str) -> Any:
     """``value`` if it is a JSON object (``dict``) or array (``list``) as required."""
     if not isinstance(value, shape):
@@ -222,6 +236,26 @@ def _check_fields(chk: dict, where: str, blocks: dict[str, dict]) -> None:
             _int(chk[name], f"{where}: {name}")
 
 
+# The least value of each sweep setting that a sweep can sample from.
+_SWEEP_MINIMA = {"count": 1, "n_max": 1, "d_max": 1, "m_max": 0, "kappa_max": 0}
+
+
+def _check_sweep_sizes(options: Options) -> None:
+    """Reject sweep settings under which a sweep is empty or cannot draw an instance."""
+    values = {"count": options.sweep_count, **asdict(options.sweep)}
+    for key, least in _SWEEP_MINIMA.items():
+        if values[key] < least:
+            raise ScenarioError(f"options.sweep.{key} must be at least {least}, got {values[key]}")
+    # Above n_max, a rank-n draw has at least n + 1 doubled parameters of its
+    # parity to choose from, so it can avoid the one degenerate value per place.
+    bounds = options.sweep
+    if bounds.two_a_max <= bounds.n_max:
+        raise ScenarioError(
+            f"options.sweep.two_a_max must be greater than options.sweep.n_max ({bounds.n_max}),"
+            f" got {bounds.two_a_max}"
+        )
+
+
 def parse_scenario(path: str) -> Scenario:
     """Load and fully validate a scenario file.
 
@@ -277,11 +311,14 @@ def parse_scenario(path: str) -> Scenario:
         }
         arch_params = {}
         for name, where, spec in _named(raw, "arch_params"):
-            entries = {
-                t: tuple(_fraction(x, f"{where}.{t}") for x in _shaped(row, list, f"{where}.{t}"))
-                for t, row in _member(spec, "entries", where).items()
-            }
-            arch_params[name] = ArchParams(entries, _int(spec["n"], f"{where}.n"), model)
+            n = _int(spec["n"], f"{where}.n")
+            doubled = {}
+            for t, row in _member(spec, "entries", where).items():
+                doubled[t] = tuple(_doubled(x, f"{where}.{t}") for x in _shaped(row, list, f"{where}.{t}"))
+                defect = arch_row_defect(doubled[t], n)
+                if defect:
+                    raise ScenarioError(f"{where}.{t}: doubled parameters {defect}")
+            arch_params[name] = ArchParams(doubled, n, model)
         characters = {}
         for name, where, spec in _named(raw, "characters"):
             pairs = _member(spec, "pairs", where)
@@ -303,6 +340,7 @@ def parse_scenario(path: str) -> Scenario:
             sweep=SweepBounds(**{k: sweep_raw[k] for k in bound_names if k in sweep_raw}),
             sweep_count=sweep_raw.get("count", 200),
         )
+        _check_sweep_sizes(options)
         options.level_enum()
         options.tate_enabled()
         if options.d_exponent not in ("thm", "intro"):

@@ -72,18 +72,20 @@ def random_instance(rng: random.Random, bounds: SweepBounds = DEFAULT_BOUNDS) ->
         for t in taus:
             m_t = rng.randint(lo, hi)
             pairs[t] = (m_t, w - m_t)
-        entries = {}
-        for t in taus:
-            doubled = sorted(rng.sample(allowed, n), reverse=True)
-            entries[t] = tuple(Fraction(x, 2) for x in doubled)
+        doubled = {t: tuple(sorted(rng.sample(allowed, n), reverse=True)) for t in taus}
         degenerate = any(
-            2 * (m_t - m_bar) - kappa + 2 * a == 0
+            2 * (m_t - m_bar) - kappa + a == 0
             for t, (m_t, m_bar) in pairs.items()
-            for a in entries[t]
+            for a in doubled[t]
         )
         if degenerate:
             continue
-        return analyze_instance(ArchParams(entries, n, model), pairs, kappa)
+        return analyze_instance(ArchParams(doubled, n, model), pairs, kappa)
+
+
+def _halved(ap: ArchParams) -> dict[str, tuple[Fraction, ...]]:
+    """The parameters themselves, as a failure message prints them."""
+    return {t: tuple(Fraction(a, 2) for a in row) for t, row in ap.doubled.items()}
 
 
 @dataclass
@@ -118,7 +120,7 @@ def run_compare_sweep(
         for point in report.points:
             if not point.equivalent:
                 stats.failures.append(
-                    f"m={point.m} residual {point.residual.describe()} (instance {inst.ap.entries})"
+                    f"m={point.m} residual {point.residual.describe()} (instance {_halved(inst.ap)})"
                 )
     return stats
 

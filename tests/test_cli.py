@@ -210,7 +210,23 @@ class TestParsing:
                 ("emb_family.points", ("emb_family",), {"points": 5, "base": "p", "action": {}}),
             ]
         ]
-        + [pytest.param("weights.mu.entries.t1", ("weights", "mu", "entries", "t1"), 5, id="weights-row")],
+        + [pytest.param("weights.mu.entries.t1", ("weights", "mu", "entries", "t1"), 5, id="weights-row")]
+        # Sweep sizes a sweep cannot sample from.  With two_a_max at or below
+        # n_max a rank-n draw may have no non-degenerate choice: the last
+        # case used to loop forever, the one before it to raise ValueError.
+        + [
+            pytest.param(f"options.sweep.{key}", ("options", "sweep", key), value, id=f"sweep-{key}-{value}")
+            for key, value in [
+                ("count", 0), ("count", -3), ("n_max", 0), ("d_max", 0), ("m_max", -1), ("kappa_max", -1),
+            ]
+        ]
+        + [
+            pytest.param("options.sweep.two_a_max", ("options", "sweep"), bounds, id=f"sweep-two_a_max-{i}")
+            for i, bounds in enumerate([
+                {"n_max": 4, "d_max": 1, "two_a_max": 1, "m_max": 2, "kappa_max": 2},
+                {"n_max": 1, "d_max": 1, "two_a_max": 0, "m_max": 0, "kappa_max": 0},
+            ])
+        ],
     )
     def test_malformed_shape_exits_two(self, tmp_path, capsys, where, path, value):
         # A container of the wrong JSON type, or a number that is not an
@@ -234,12 +250,32 @@ class TestParsing:
         except ScenarioError:
             pass
 
-    @pytest.mark.parametrize("value", [[1, 0], True, [True, 2]])
+    @pytest.mark.parametrize(
+        "value",
+        [[1, 0], True, [True, 2]]
+        + [pytest.param([1, 3], id="third"), pytest.param([5, 4], id="five-quarters")],
+    )
     def test_malformed_rational_rejected(self, tmp_path, value):
         payload = json.loads(json.dumps(MINIMAL))
         payload["arch_params"]["Pi"]["entries"]["t1"] = [value]
         with pytest.raises(ScenarioError, match="arch_params.Pi.t1: rationals must be"):
             parse_scenario(write(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "n, row, defect",
+        [
+            (2, [[1, 2], [3, 2]], "must be strictly decreasing"),
+            (2, [[1, 2], [1, 2]], "must be strictly decreasing"),
+            (1, [[1, 2]], "must share the parity of n-1"),
+            (2, [2, 0], "must share the parity of n-1"),
+            (2, [[1, 2]], "must have length 2"),
+        ],
+    )
+    def test_malformed_parameter_row_names_its_place(self, tmp_path, capsys, n, row, defect):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["arch_params"]["Pi"] = {"n": n, "entries": {"t1": row}}
+        assert main(["check", write(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == f"input error: arch_params.Pi.t1: doubled parameters {defect}\n"
 
     def test_float_rational_rejected(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
@@ -423,3 +459,12 @@ class TestMainEntry:
                 check["kind"] = "compare"
         recorded = (Path(__file__).parent / "data" / "demo_sweep_seed7.json").read_text(encoding="utf-8")
         assert json.dumps(report, sort_keys=True, indent=2) + "\n" == recorded
+
+    def test_demo_tate_off_sweep_report_is_recorded(self, capsys):
+        # With tate off every compared point fails, and each listed failure
+        # prints the instance's half-integer parameters as Fractions.
+        assert main(["sweep", str(DEMO), "--seed", "7", "--level", "q", "--tate", "off"]) == 1
+        recorded = (Path(__file__).parent / "data" / "demo_sweep_seed7_q_tate_off.json").read_text(
+            encoding="utf-8"
+        )
+        assert capsys.readouterr().out == recorded

@@ -35,20 +35,25 @@ HALF = Fraction(1, 2)
 
 
 def arch(model, n, **rows):
-    return ArchParams({t: tuple(Fraction(x) for x in row) for t, row in rows.items()}, n, model)
+    # Rows list the half-integer parameters; ArchParams stores them doubled.
+    # A value that is not a half-integer stays a Fraction, which it rejects.
+    doubled = {t: tuple(2 * Fraction(x) for x in row) for t, row in rows.items()}
+    return ArchParams(
+        {t: tuple(int(x) if x.denominator == 1 else x for x in row) for t, row in doubled.items()}, n, model
+    )
 
 
 class TestParameterDictionary:
     def test_zero_weight_rank_two(self):
         mu = WeightParam({"t1": (0, 0)}, 0, 2)
         ap = archimedean_params(mu, ONE_PAIR)
-        assert ap.entries["t1"] == (HALF, -HALF)
+        assert ap.doubled["t1"] == (1, -1)
 
     def test_rank_one_negation(self):
         for a1 in range(-4, 5):
             mu = WeightParam({"t1": (a1,)}, 0, 1)
             ap = archimedean_params(mu, ONE_PAIR)
-            assert ap.entries["t1"] == (Fraction(-a1),)
+            assert ap.doubled["t1"] == (-2 * a1,)
 
     def test_round_trip(self):
         rng = random.Random(5)
@@ -67,6 +72,16 @@ class TestParameterDictionary:
     def test_parity_enforced(self):
         with pytest.raises(PreconditionError):
             arch(ONE_PAIR, 2, t1=(1, 0))
+
+    @pytest.mark.parametrize(
+        "row",
+        [(Fraction(1), Fraction(-1)), (True, -1), (1.0, -1.0), (2, 0), (1,), (-1, 1)],
+        ids=["fraction", "bool", "float", "parity", "length", "increasing"],
+    )
+    def test_doubled_row_checked(self, row):
+        # The doubled entries of rank 2 must be odd ints, two of them, decreasing.
+        with pytest.raises(PreconditionError, match="doubled parameters at 't1' must"):
+            ArchParams({"t1": row}, 2, ONE_PAIR)
 
 
 class TestHodgeConstruction:
@@ -103,9 +118,9 @@ def direct_exponent_set(ap, pairs, kappa):
     # Hodge-data machinery: both families per place of the CM type.
     n = ap.n
     out = set()
-    for t, row in ap.entries.items():
+    for t, row in ap.doubled.items():
         m_t, m_bar = pairs[t]
-        for a in row:
+        for a in (Fraction(x, 2) for x in row):
             out.add(-a + Fraction(n - 1, 2) + m_bar - m_t)
             out.add(a + Fraction(n - 1, 2) + m_t - m_bar - kappa)
     assert all(x.denominator == 1 for x in out)
@@ -284,7 +299,7 @@ def oracle_bounds_ok(m, ap, pairs, kappa, counts):
     if 2 * m < n - kappa:
         return False
     mu = weight_from_arch_params(ap)
-    for t in ap.entries:
+    for t in ap.doubled:
         a = mu.entries[t]
         s = counts[t]
         r = n - s
@@ -352,6 +367,54 @@ class TestInstanceAnalysis:
         ap = arch(ONE_PAIR, 1, t1=(-2,))
         with pytest.raises(DegenerateInputError, match="t1"):
             analyze_instance(ap, {"t1": (1, -1)}, 0)
+
+
+def fraction_chain(inst):
+    """Pairs, signature counts, window, admissible points and bound test of
+    ``inst`` from the half-integer parameters in Fraction arithmetic."""
+    n, kappa, w = inst.ap.n, inst.kappa, inst.ap.n - 1
+    params = {t: tuple(Fraction(x, 2) for x in row) for t, row in inst.ap.doubled.items()}
+    pairs, counts, exps = {}, {}, set()
+    for t, row in params.items():
+        ps = sorted((-a + Fraction(w, 2) for a in row), reverse=True)
+        pairs[t] = tuple((p, w - p) for p in ps)
+        pairs[inst.model.conj[t]] = tuple((w - p, p) for p in reversed(ps))
+        counts[t] = sum(1 for a in row if 2 * inst.diffs[t] - kappa + 2 * a < 0)
+        exps.update(p - inst.diffs[t] for p in ps)
+        exps.update(w - p + inst.diffs[t] - kappa for p in ps)
+    half = Fraction(w - kappa, 2)
+    lo, hi = max(p for p in exps if p < half), min(p for p in exps if p > half)
+    admissible = tuple(m for m in range(int(lo) + 1, int(hi) + 1) if m > Fraction(2 * n - kappa, 2))
+    return {
+        "pairs": pairs,
+        "counts": counts,
+        "window": (lo, hi),
+        "admissible": admissible,
+        "lower": Fraction(n - kappa, 2),
+    }
+
+
+class TestIntegerChainMatchesFractions:
+    def test_random_instances(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            inst = random_instance(rng)
+            ref = fraction_chain(inst)
+            assert inst.rank_n.pairs == ref["pairs"]
+            assert inst.counts_arch == ref["counts"]
+            assert (inst.window.lo, inst.window.hi) == ref["window"]
+            assert inst.admissible == ref["admissible"]
+            mu = weight_from_arch_params(inst.ap)
+            sig = Signature({t: (inst.ap.n - c, c) for t, c in inst.counts_arch.items()}, inst.ap.n)
+            for m in range(-8, 9):
+                report = doubling_bounds_check(m, mu, inst.exp_pairs, inst.kappa, sig)
+                assert (report.lower <= m) == (ref["lower"] <= m)
+
+    def test_middle_exponent_message(self):
+        with pytest.raises(NotCriticalError, match="middle exponent 3 occurs"):
+            critical_range([1, 3, 5], 6)
+        with pytest.raises(NotCriticalError, match="middle exponent 5/2 occurs"):
+            critical_range([Fraction(5, 2)], 5)
 
 
 class TestConjugateArchParams:

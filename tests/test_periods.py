@@ -1,6 +1,7 @@
 
+import copy
+import pickle
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from cmperiods.periods import (
     QUAD_PERIOD,
     TWO_PI_I_HALF,
     Level,
+    PeriodGenerator,
     PeriodMonomial,
     RelationLattice,
     arch_zeta,
@@ -39,6 +41,7 @@ from cmperiods.periods import (
     normalizing_factor_product,
     opaque,
     pairing_relations,
+    petersson_period,
     rankin_lvalue_period,
     refined_lvalue_period,
     standard_lvalue_period,
@@ -98,6 +101,54 @@ class TestMonomialAlgebra:
         assert Q_PI_PSI_ALPHA.name() == "opaque(Q(Pi,psi,alpha))"
         assert GAUSS_SUM.name() == "gauss-sum(alpha)"
         assert FINITE_ORDER_PERIOD.name() == "finite-order-period(alpha)"
+
+
+def reference_name(gen):
+    # The name and sort key as computed from kind and args on every call.
+    def fmt(a):
+        return "|".join(f"{t}:{c}" for t, c in a) if isinstance(a, tuple) else str(a)
+
+    return f"{gen.kind}({','.join(fmt(a) for a in gen.args)})" if gen.args else gen.kind
+
+
+def reference_sort_key(gen):
+    return (gen.kind, tuple(str(a) for a in gen.args))
+
+
+class TestInterning:
+    CONSTRUCTORS = [
+        (cm_period, ("eta-dual", "t1")),
+        (auto_period, ("Pi", (("t1", 0), ("t2", 2)))),
+        (motivic_q, ("Pi", 1, "c2")),
+        (arch_zeta, (3,)),
+        (opaque, ("x",)),
+        (petersson_period, ("Pi",)),
+    ]
+
+    def test_constructors_return_the_same_object(self):
+        for build, args in self.CONSTRUCTORS:
+            assert build(*args) is build(*args)
+        assert PeriodGenerator("two-pi-i^1/2") is TWO_PI_I_HALF
+        assert PeriodGenerator("gauss-sum", ("alpha",)) is GAUSS_SUM
+        assert cm_period("eta-dual", "t1") is not cm_period("eta-dual", "c1")
+
+    def test_name_and_sort_key_unchanged(self):
+        gens = GEN_POOL + [build(*args) for build, args in self.CONSTRUCTORS]
+        for g in gens:
+            assert g.name() == reference_name(g)
+            assert g.sort_key() == reference_sort_key(g)
+        assert auto_period("Pi", (("t1", 0), ("t2", 2))).name() == "auto-period(Pi,t1:0|t2:2)"
+
+    def test_copies_are_the_interned_object(self):
+        g = motivic_q("Pi", 1, "c2")
+        assert copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+        with pytest.raises(AttributeError):
+            g.kind = "other"
+
+    def test_standard_lattice_built_once_per_level(self):
+        assert standard_relations(Level.Q) is standard_relations(Level.Q)
+        assert standard_relations(Level.FGAL) is not standard_relations(Level.Q)
 
 
 class TestEquivalence:
@@ -259,7 +310,7 @@ class TestAssemblies:
         assert got.exponent(TWO_PI_I_HALF) == 3  # printed exponent 3/2, representable
 
     def n1_instance(self):
-        ap = ArchParams({"t1": (Fraction(2),)}, 1, ONE_PAIR)
+        ap = ArchParams({"t1": (4,)}, 1, ONE_PAIR)
         return analyze_instance(ap, {"t1": (1, -1)}, 1)
 
     def test_deligne_parity_branches(self):
@@ -279,7 +330,7 @@ class TestAssemblies:
 
 class TestComparator:
     def n1_instance(self):
-        ap = ArchParams({"t1": (Fraction(2),)}, 1, ONE_PAIR)
+        ap = ArchParams({"t1": (4,)}, 1, ONE_PAIR)
         return analyze_instance(ap, {"t1": (1, -1)}, 1)
 
     def test_rank_one_manual_exponent_sums(self):
@@ -368,7 +419,7 @@ class TestRelationContextContents:
         # The comparator's lattice at signature t1:0 carries the character
         # family and, with tate, the period dictionary; the pairing family
         # belongs to standard_vs_refined.
-        inst = analyze_instance(ArchParams({"t1": (Fraction(2),)}, 1, ONE_PAIR), {"t1": (1, -1)}, 1)
+        inst = analyze_instance(ArchParams({"t1": (4,)}, 1, ONE_PAIR), {"t1": (1, -1)}, 1)
         tags = set(compare_automorphic_motivic(inst, tate=True).identity_tags)
         assert "period-dictionary" in tags
         assert "motivic-q0-of-character" in tags
