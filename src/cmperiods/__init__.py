@@ -14,16 +14,7 @@ from .cmfield import (
     klein_model,
     regular_family,
 )
-from .hecke import (
-    AnticyclotomicSplit,
-    CharacterShape,
-    InfinityType,
-    Splittability,
-    anticyclotomic_split,
-    conjugate_infinity_type,
-    splittability,
-    weight_of,
-)
+from .hecke import InfinityType, conjugate_infinity_type
 from .hodge import (
     ArchParams,
     HodgeData,
@@ -69,7 +60,6 @@ from .weights import (
     dual_weight,
     is_block_dominant,
     is_dominant,
-    line_bundle_weight,
     sharp_dual_composite,
     sharp_dual_weight,
 )

@@ -31,23 +31,6 @@ class DominanceError(PreconditionError):
     """A weight required to be dominant is not."""
 
 
-class NotAlgebraicError(CMPeriodsError):
-    """An infinity type has non-constant exponent sums and carries no weight."""
-
-
-class NoSolutionError(CMPeriodsError):
-    """A character decomposition has no solution for the given CM type.
-
-    Carries the parity obstruction and, when one exists, an alternative
-    CM type for which the decomposition would succeed.
-    """
-
-    def __init__(self, message: str, parities: dict | None = None, alternative=None):
-        super().__init__(message)
-        self.parities = parities or {}
-        self.alternative = alternative
-
-
 class DegenerateInputError(CMPeriodsError):
     """A strict-inequality assumption fails (a comparison hits zero exactly)."""
 

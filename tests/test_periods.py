@@ -283,8 +283,8 @@ class TestStandardSides:
     def test_point_dependence_is_transcendental_only(self):
         # For fixed data the standard side at two points differs only in the
         # transcendental exponent and the archimedean-integral tag.
-        a = standard_lvalue_period(3, 5, 2).as_dict()
-        b = standard_lvalue_period(3, 7, 2).as_dict()
+        a = dict(standard_lvalue_period(3, 5, 2).exps)
+        b = dict(standard_lvalue_period(3, 7, 2).exps)
         moved = {g for g in set(a) | set(b) if a.get(g, 0) != b.get(g, 0)}
         assert moved == {TWO_PI_I_HALF, arch_zeta(5), arch_zeta(7)}
 
@@ -342,7 +342,7 @@ class TestComparator:
         assert [p.m for p in report.points] == [1, 2, 3]
         for p, m in zip(report.points, (1, 2, 3)):
             auto = rankin_lvalue_period(ONE_PAIR, PHI1, 1, m, {"t1": 0})
-            assert auto.as_dict() == {
+            assert dict(auto.exps) == {
                 TWO_PI_I_HALF: 2 * m - 1,
                 D_HALF: 1,
                 CM_TYPE_SIGN: m,
@@ -358,7 +358,7 @@ class TestComparator:
             }
             if m % 2:
                 expected_mot[CM_TYPE_SIGN] = 1
-            assert mot.as_dict() == expected_mot
+            assert dict(mot.exps) == expected_mot
             assert p.equivalent and p.residual == ONE
             assert p.pi_half_observed_shift == -1
             assert p.pi_half_expected_shift == -1
