@@ -187,10 +187,57 @@ def base_change(chi: UnramChar) -> UnramChar:
     return UnramChar(_gl_side(chi.side), _bc_coords(chi.side, chi.coords))
 
 
+# Entries each position's image table keeps; a value past the cap is
+# computed but not stored.  The exhaustive sweeps and the witness use the
+# 12-value pool, so they stay well below it.
+_IMAGE_TABLE_CAP = 64
+
+
+class _PositionImages(NamedTuple):
+    """Twist factors at position i and its table c -> images of c.
+
+    ``front`` and ``back`` are the linear twist at coordinates i and
+    m+i (m+1+i at odd rank), ``unitary`` the unitary twist at i.
+    """
+
+    front: QValue
+    back: QValue
+    unitary: QValue
+    table: dict
+
+
 @functools.lru_cache(maxsize=None)
-def _twists(side: USide, eps: int) -> tuple[UnramChar, UnramChar]:
-    """The sign twist on a unitary side and on its base-change target."""
-    return galois_twist(side, eps), galois_twist(_gl_side(side), eps)
+def _coordinate_images(
+    side: USide, eps: int
+) -> tuple[GLSide, tuple[_PositionImages, ...], tuple[QValue, ...], tuple[QValue, ...]]:
+    """The sign twists on a unitary side and its base-change target, split by position.
+
+    Position i of chi alone fixes coordinates i and m+i of either route of
+    the commutativity square, so each route is its front images, the
+    middle coordinate (odd rank only) and its back images.  Returns the
+    target side, one ``_PositionImages`` per position, and the lhs and rhs
+    middle coordinates.
+    """
+    u_twist, gl_twist = galois_twist(side, eps), galois_twist(_gl_side(side), eps)
+    gl = gl_twist.coords
+    back = side.m + 1 if side.odd_rank else side.m
+    positions = tuple(
+        _PositionImages(gl[i], gl[back + i], u_twist.coords[i], {}) for i in range(side.m)
+    )
+    if side.odd_rank:
+        return gl_twist.side, positions, (ONE_VALUE * gl[side.m],), (ONE_VALUE,)
+    return gl_twist.side, positions, (), ()
+
+
+def _images(pos: _PositionImages, c: QValue) -> tuple[QValue, QValue, QValue, QValue]:
+    """(c·g_i, c⁻¹·g_{m+i}, c·u_i, (c·u_i)⁻¹), from the table when stored."""
+    images = pos.table.get(c)
+    if images is None:
+        twisted = c * pos.unitary
+        images = (c * pos.front, c.inv() * pos.back, twisted, twisted.inv())
+        if len(pos.table) < _IMAGE_TABLE_CAP:
+            pos.table[c] = images
+    return images
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,11 +300,12 @@ def commutativity_check(chi: UnramChar, eps: int) -> CommutativityReport:
     side = chi.side
     if not isinstance(side, USide):
         raise SideError("commutativity check starts from the unitary side")
-    u_twist, gl_twist = _twists(side, eps)
-    # lhs = BC(chi) * twist_GL and rhs = BC(chi * twist_U), built from
-    # coordinate tuples so that only the two reported characters exist.
-    lhs = UnramChar(gl_twist.side, _times(_bc_coords(side, chi.coords), gl_twist.coords))
-    rhs = UnramChar(gl_twist.side, _bc_coords(side, _times(chi.coords, u_twist.coords)))
+    gl_side, positions, lhs_middle, rhs_middle = _coordinate_images(side, eps)
+    # lhs = BC(chi) * twist_GL and rhs = BC(chi * twist_U), assembled from
+    # each position's images so that only the two reported characters exist.
+    lhs_front, lhs_back, rhs_front, rhs_back = zip(*map(_images, positions, chi.coords))
+    lhs = UnramChar(gl_side, lhs_front + lhs_middle + lhs_back)
+    rhs = UnramChar(gl_side, rhs_front + rhs_middle + rhs_back)
     direct, via_bc, tuples_eq, weyl_eq = _pattern_facts(side)
     values_equal = lhs.coords == rhs.coords
     return CommutativityReport(

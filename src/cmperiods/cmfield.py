@@ -173,15 +173,12 @@ class EmbFamilyModel:
                 raise InvalidModelError(f"action of {name!r} is not a permutation of the points")
         # Action compatibility: composing two named actions realizes the
         # action of some element whose embedding permutation matches.
+        key = CMFieldModel._key
+        realized = {(key(model.element(k)), key(self.action[k])) for k in model.group}
         for g, h in itertools.product(model.group, repeat=2):
-            comp_emb = CMFieldModel._key(compose(model.element(g), model.element(h)))
-            comp_pts = compose(self.action[g], self.action[h])
-            ok = any(
-                CMFieldModel._key(model.element(k)) == comp_emb
-                and self.action[k] == comp_pts
-                for k in model.group
-            )
-            if not ok:
+            comp_emb = key(compose(model.element(g), model.element(h)))
+            comp_pts = key(compose(self.action[g], self.action[h]))
+            if (comp_emb, comp_pts) not in realized:
                 raise InvalidModelError(
                     f"composite of {g!r} and {h!r} is not realized by any named element"
                 )

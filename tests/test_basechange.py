@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cmperiods import basechange
 from cmperiods.basechange import (
     GLSide,
     QValue,
@@ -71,29 +72,88 @@ class TestIntegerValues:
             UnramChar(USide(1), (QValue(0, 1, 0),))
 
     def test_sweep_coordinates_match_fraction_oracle(self):
-        def twist(exps, eps):
-            return [(Fraction(eps if (2 * e).numerator % 2 else 1), 0) for e in exps]
-
-        def times(xs, ys):
-            return [(a * b, k + l) for (a, k), (b, l) in zip(xs, ys)]
-
-        def bc(xs):
-            return xs + [(1 / a, -k) for a, k in xs]
-
         reports = sweep_commutativity(3)
         for m in range(1, 4):
-            u_exps = [F(2 * m - 1 - 2 * i, 2) for i in range(m)]
-            gl_exps = [F(2 * m - 1 - 2 * i, 2) for i in range(2 * m)]
             for eps in (1, -1):
                 for combo in itertools.product(small_value_set(), repeat=m):
-                    chi = [as_fraction(c) for c in combo]
-                    lhs = times(bc(chi), twist(gl_exps, eps))
-                    rhs = bc(times(chi, twist(u_exps, eps)))
+                    lhs, rhs = oracle_routes(m, False, eps, [as_fraction(c) for c in combo])
                     rep = next(reports)
                     assert [as_fraction(c) for c in rep.twist_then_bc.coords] == lhs
                     assert [as_fraction(c) for c in rep.bc_then_twist.coords] == rhs
                     assert rep.values_equal_as_tuples == (lhs == rhs)
         assert next(reports, None) is None
+
+
+def oracle_routes(m, odd, eps, chi):
+    """Both routes of the square on (rational, root power) pairs, from the exponent formulas."""
+    if odd:
+        u_exps = [F(m - i) for i in range(m)]
+        gl_exps = [F(m - i) for i in range(2 * m + 1)]
+    else:
+        u_exps = [F(2 * m - 1 - 2 * i, 2) for i in range(m)]
+        gl_exps = [F(2 * m - 1 - 2 * i, 2) for i in range(2 * m)]
+
+    def twist(exps):
+        return [(F(eps if (2 * e).numerator % 2 else 1), 0) for e in exps]
+
+    def times(xs, ys):
+        return [(a * b, k + l) for (a, k), (b, l) in zip(xs, ys)]
+
+    def bc(xs):
+        return xs + [(F(1), 0)] * odd + [(1 / a, -k) for a, k in xs]
+
+    return times(bc(chi), twist(gl_exps)), bc(times(chi, twist(u_exps)))
+
+
+def assert_matches_oracle(side, eps, coords):
+    rep = commutativity_check(UnramChar(side, tuple(coords)), eps)
+    lhs, rhs = oracle_routes(side.m, side.odd_rank, eps, [as_fraction(c) for c in coords])
+    assert [as_fraction(c) for c in rep.twist_then_bc.coords] == lhs
+    assert [as_fraction(c) for c in rep.bc_then_twist.coords] == rhs
+    assert all(map(is_normalized, rep.twist_then_bc.coords + rep.bc_then_twist.coords))
+    assert rep.values_equal_as_tuples == (lhs == rhs)
+    return rep
+
+
+wide_values = st.builds(qval, nonzero, exponents)
+SIDES = [USide(m, odd) for m in (1, 2, 3) for odd in (False, True)]
+
+
+class TestCoordinateImages:
+    def test_odd_rank_matches_oracle(self):
+        for m in (1, 2, 3):
+            side = USide(m, odd_rank=True)
+            for eps in (1, -1):
+                for combo in itertools.product(small_value_set(), repeat=m):
+                    rep = assert_matches_oracle(side, eps, combo)
+                    assert rep.twist_then_bc.coords[m] == qval(1)
+                    assert rep.bc_then_twist.coords[m] == qval(1)
+
+    def test_interleaved_sides_and_signs(self):
+        # The same value goes through every position of every side under
+        # both signs, one call after another, so an image stored for one
+        # (side, sign, position) and read back for another shows up.
+        pool = small_value_set() + (qval(F(-3, 7), 5), qval(F(11, 2), -3))
+        for c in pool:
+            for side in SIDES:
+                for eps in (1, -1, 1):
+                    for i in range(side.m):
+                        coords = [qval(1)] * side.m
+                        coords[i] = c
+                        assert_matches_oracle(side, eps, coords)
+
+    @given(st.lists(st.tuples(st.sampled_from(SIDES), st.sampled_from((1, -1)),
+                              st.lists(wide_values, min_size=3, max_size=3)), min_size=1, max_size=8))
+    def test_values_outside_the_pool(self, calls):
+        for side, eps, coords in calls:
+            assert_matches_oracle(side, eps, coords[: side.m])
+
+    def test_table_size_is_capped(self):
+        side = USide(1)
+        for num in range(1, 3 * basechange._IMAGE_TABLE_CAP):
+            assert_matches_oracle(side, -1, [qval(F(num, 97), num % 5)])
+        _, positions, _, _ = basechange._coordinate_images(side, -1)
+        assert len(positions[0].table) == basechange._IMAGE_TABLE_CAP
 
 
 class TestModulusExponents:

@@ -468,3 +468,11 @@ class TestMainEntry:
             encoding="utf-8"
         )
         assert capsys.readouterr().out == recorded
+
+    def test_basechange_report_is_recorded(self, capsys):
+        # Two base-change sweeps at m_max 3: odd rank without the witness,
+        # even rank with it.
+        data = Path(__file__).parent / "data"
+        assert main(["check", str(data / "basechange_m3.json")]) == 0
+        recorded = (data / "basechange_m3_check.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == recorded

@@ -202,6 +202,72 @@ class TestSignFamily:
                         assert signs[fam.action[g][rho]] == signs[rho]
 
 
+def scan_realized(model, fam):
+    """The compatibility predicate as a full scan: the first unrealized composite, or None."""
+    key = CMFieldModel._key
+    for g, h in itertools.product(model.group, repeat=2):
+        comp_emb = key(compose(model.element(g), model.element(h)))
+        comp_pts = compose(fam.action[g], fam.action[h])
+        if not any(key(model.element(k)) == comp_emb and fam.action[k] == comp_pts for k in model.group):
+            return f"composite of {g!r} and {h!r} is not realized by any named element"
+    return None
+
+
+class TestFamilyValidation:
+    SWAP = {"p": "q", "q": "p"}
+    FIX = {"p": "p", "q": "q"}
+
+    def family(self, **action):
+        return EmbFamilyModel(points=("p", "q"), base="p", action=action)
+
+    def test_base_point_outside_points(self):
+        fam = EmbFamilyModel(points=("p", "q"), base="r", action={g: self.FIX for g in FOUR.group})
+        with pytest.raises(InvalidModelError, match="^base point is not in the point set$"):
+            fam.validate(FOUR)
+
+    def test_action_names_wrong_elements(self):
+        missing = {g: self.FIX for g in FOUR.group if g != "g3"}
+        extra = dict({g: self.FIX for g in FOUR.group}, h=self.FIX)
+        for action in (missing, extra):
+            with pytest.raises(InvalidModelError, match="^action must name exactly the model's group elements$"):
+                self.family(**action).validate(FOUR)
+
+    def test_action_not_a_permutation(self):
+        fam = self.family(g0=self.FIX, g1={"p": "p", "q": "p"}, g2=self.FIX, g3=self.FIX)
+        with pytest.raises(InvalidModelError, match="^action of 'g1' is not a permutation of the points$"):
+            fam.validate(FOUR)
+
+    def test_composite_not_realized(self):
+        # g1 . g2 has the embedding permutation of g3 and the point action
+        # SWAP; g3 fixes the points and g1 swaps them, so both halves of the
+        # composite occur in the group, but never under one element.
+        fam = self.family(g0=self.FIX, g1=self.SWAP, g2=self.FIX, g3=self.FIX)
+        expected = "composite of 'g1' and 'g2' is not realized by any named element"
+        assert scan_realized(FOUR, fam) == expected
+        with pytest.raises(InvalidModelError) as err:
+            fam.validate(FOUR)
+        assert str(err.value) == expected
+
+    def test_matches_full_scan(self):
+        # Every point action of the right shape on two or three points, over
+        # small models: validate fails exactly when the scan finds an
+        # unrealized composite, with the scan's first failure as its message.
+        for model in (cyclic_model(1), FOUR, klein_model()):
+            names = list(model.group)
+            for n_points in (2, 3):
+                points = tuple(f"p{i}" for i in range(n_points))
+                perms = [dict(zip(points, image)) for image in itertools.permutations(points)]
+                for choice in itertools.product(perms, repeat=len(names)):
+                    fam = EmbFamilyModel(points=points, base=points[0], action=dict(zip(names, choice)))
+                    expected = scan_realized(model, fam)
+                    if expected is None:
+                        fam.validate(model)
+                        continue
+                    with pytest.raises(InvalidModelError) as err:
+                        fam.validate(model)
+                    assert str(err.value) == expected
+
+
 class TestInvarianceCheck:
     def test_identity_fixer_passes(self):
         fam = regular_family(FOUR)
