@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cmfield import CMFieldModel, CMType
 from .errors import NotCriticalError, PreconditionError
@@ -210,14 +210,45 @@ class Relation:
 
 @dataclass(frozen=True, eq=True)
 class RelationLattice:
+    """Declared relations at a level, and the reducers that decide membership in them.
+
+    A reducer spans the relations' generators plus the extra generators a
+    difference brings.  Each is built once per set of extras and kept on
+    the lattice, so a lattice reused across comparisons builds its
+    generator universe, index and :class:`IntegerLattice` once.
+    """
+
     level: Level
     relations: tuple[Relation, ...]
+    _reducers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tags(self) -> tuple[str, ...]:
         return tuple(r.tag for r in self.relations)
 
     def with_relations(self, extra: tuple[Relation, ...]) -> "RelationLattice":
         return RelationLattice(level=self.level, relations=self.relations + extra)
+
+    @functools.cached_property
+    def generators(self) -> frozenset[PeriodGenerator]:
+        return frozenset(g for r in self.relations for g, _ in r.vector.exps)
+
+    def reducer(
+        self, extra: frozenset[PeriodGenerator]
+    ) -> tuple[tuple[PeriodGenerator, ...], dict[PeriodGenerator, int], IntegerLattice]:
+        """The sorted universe of the relations' generators and ``extra``, its
+        index, and the lattice of the relations over it."""
+        found = self._reducers.get(extra)
+        if found is None:
+            universe = tuple(sorted(self.generators | extra, key=PeriodGenerator.sort_key))
+            reducer = _reduction_lattice(
+                tuple(r.vector for r in self.relations), universe, self.level
+            )
+            found = self._reducers[extra] = (
+                universe,
+                {g: i for i, g in enumerate(universe)},
+                reducer,
+            )
+        return found
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,10 +285,11 @@ def period_dictionary(signature: tuple[tuple[str, int], ...]) -> Relation:
     return Relation(PeriodMonomial.from_dict(vec), "period-dictionary")
 
 
-def character_relations(model: CMFieldModel, phi: CMType) -> tuple[Relation, ...]:
-    """The character's motivic periods as CM periods, at each place of the CM type."""
+def character_relations(conj_pairs: tuple[tuple[str, str], ...]) -> tuple[Relation, ...]:
+    """The character's motivic periods as CM periods, at each place ``t`` of
+    the CM type, given as the pairs ``(t, conj(t))``."""
     rels: list[Relation] = []
-    for t in phi.sorted_members():
+    for t, tb in conj_pairs:
         rels.append(
             Relation(
                 mono(
@@ -280,7 +312,7 @@ def character_relations(model: CMFieldModel, phi: CMType) -> tuple[Relation, ...
             Relation(
                 mono(
                     (cm_period(ETA_DUAL_C, t), 1),
-                    (cm_period(ETA_DUAL, model.conj[t]), -1),
+                    (cm_period(ETA_DUAL, tb), -1),
                 ),
                 "cm-period-conjugation",
             )
@@ -344,26 +376,28 @@ def _reduction_lattice(
     return lat
 
 
+def _quotient(x: PeriodMonomial, y: PeriodMonomial) -> dict[PeriodGenerator, int]:
+    """The exponents of x / y, with any cancelled generator kept at zero."""
+    acc = dict(x.exps)
+    for g, e in y.exps:
+        acc[g] = acc.get(g, 0) - e
+    return acc
+
+
 def equivalent_mod(
     x: PeriodMonomial, y: PeriodMonomial, lat: RelationLattice
 ) -> EquivalenceResult:
     """Decide x ~ y modulo the lattice; the residual is zero exactly on success.
 
     Unit vectors of every generator trivial at the lattice level are
-    adjoined over the working generator universe, so parameterized
-    trivial generators are handled uniformly.
+    adjoined over the working generator universe (the relations'
+    generators and those of x / y), so parameterized trivial generators
+    are handled uniformly.
     """
-    diff = mono_mul(x, mono_inv(y))
-    gens = set(diff.generators())
-    for r in lat.relations:
-        gens.update(r.vector.generators())
-    universe = tuple(sorted(gens, key=PeriodGenerator.sort_key))
-    reducer = _reduction_lattice(
-        tuple(r.vector for r in lat.relations), universe, lat.level
-    )
-    index = {g: i for i, g in enumerate(universe)}
+    diff = {g: e for g, e in _quotient(x, y).items() if e}
+    universe, index, reducer = lat.reducer(frozenset(diff.keys() - lat.generators))
     row = [0] * len(universe)
-    for g, e in diff.exps:
+    for g, e in diff.items():
         row[index[g]] = e
     residual_row = reducer.reduce(row)
     residual = PeriodMonomial.from_dict(
@@ -535,6 +569,19 @@ def standard_vs_refined(
 # The end-to-end comparator.
 
 
+@functools.lru_cache(maxsize=256)
+def _comparator_lattice(
+    level: Level,
+    dictionary_signature: tuple[tuple[str, int], ...] | None,
+    conj_pairs: tuple[tuple[str, str], ...],
+) -> RelationLattice:
+    """The comparator's relations, built once per key: the standard family,
+    the period dictionary at ``dictionary_signature`` (none when it is
+    None) and the character family over ``conj_pairs``."""
+    dictionary = () if dictionary_signature is None else (period_dictionary(dictionary_signature),)
+    return standard_relations(level).with_relations(dictionary + character_relations(conj_pairs))
+
+
 @dataclass(frozen=True)
 class PointComparison:
     m: int
@@ -576,19 +623,21 @@ def compare_automorphic_motivic(
     if analysis.counts_arch != analysis.counts_hodge:
         raise PreconditionError("signature counts disagree between the two dictionaries")
     sig_items = tuple(sorted(analysis.counts_arch.items()))
-
-    dictionary = (period_dictionary(sig_items),) if tate else ()
-    lat = standard_relations(level).with_relations(dictionary + character_relations(model, phi))
+    lat = _comparator_lattice(
+        level,
+        sig_items if tate else None,
+        tuple((t, model.conj[t]) for t in phi.sorted_members()),
+    )
 
     expected_shift = -n * d_plus  # half-unit offset between the two evaluation points
     comparisons = []
     for m in analysis.admissible:
         auto = rankin_lvalue_period(model, phi, n, m, analysis.counts_arch)
         mot = deligne_period_prediction(analysis, m)
-        diff = mono_mul(auto, mono_inv(mot))
-        observed = diff.exponent(TWO_PI_I_HALF)
-        adjusted = mono_mul(diff, mono((TWO_PI_I_HALF, -expected_shift)))
-        result = equivalent_mod(adjusted, ONE, lat)
+        diff = _quotient(auto, mot)
+        observed = diff.get(TWO_PI_I_HALF, 0)
+        diff[TWO_PI_I_HALF] = observed - expected_shift
+        result = equivalent_mod(PeriodMonomial.from_dict(diff), ONE, lat)
         comparisons.append(
             PointComparison(
                 m=m,

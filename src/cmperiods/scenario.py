@@ -267,8 +267,12 @@ def parse_scenario(path: str) -> Scenario:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     _shaped(raw, dict, "scenario")
     if raw.get("schema") != SCENARIO_SCHEMA:
         raise ScenarioError(f"expected schema {SCENARIO_SCHEMA!r}, got {raw.get('schema')!r}")

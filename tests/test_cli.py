@@ -121,6 +121,20 @@ class TestParsing:
             parse_scenario(str(path))
         assert err.value.line == 2
 
+    def test_directory_path_is_input_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot read scenario file {tmp_path}")
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"schema": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ScenarioError, match="not UTF-8"):
+            parse_scenario(str(path))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: scenario file {path} is not UTF-8")
+
     def test_unknown_check_kind(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
         payload["checks"] = [{"kind": "bogus"}]

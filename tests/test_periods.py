@@ -4,12 +4,14 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmperiods.cmfield import CMType, cyclic_model
+from cmperiods import periods
+from cmperiods.cmfield import CMFieldModel, CMType, cyclic_model
 from cmperiods.errors import NotCriticalError
 from cmperiods.hodge import ArchParams, analyze_instance
+from cmperiods.lattice import IntegerLattice
 from cmperiods.periods import (
     CM_TYPE_SIGN,
     D_HALF,
@@ -47,6 +49,7 @@ from cmperiods.periods import (
     standard_lvalue_period,
     standard_relations,
     standard_vs_refined,
+    trivial_at,
 )
 from cmperiods.sweeps import SweepBounds, random_instance
 
@@ -203,6 +206,50 @@ class TestEquivalence:
             )
             if equivalent_mod(x, y, lat).equivalent and equivalent_mod(y, z, lat).equivalent:
                 assert equivalent_mod(x, z, lat).equivalent
+
+
+# Generators in no standard relation; both sort before every relation generator.
+OUTSIDE_POOL = [arch_zeta(3), auto_period("Pi", (("t1", 1),))]
+
+
+@st.composite
+def differences(draw):
+    """Two monomials over GEN_POOL, whose quotient may hold OUTSIDE_POOL generators."""
+    pool = st.sampled_from(GEN_POOL + OUTSIDE_POOL)
+    x = draw(st.dictionaries(pool, st.integers(-6, 6), max_size=5))
+    y = draw(st.dictionaries(pool, st.integers(-6, 6), max_size=5))
+    return PeriodMonomial.from_dict(x), PeriodMonomial.from_dict(y)
+
+
+class TestEquivalenceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(differences(), st.sampled_from(list(Level)))
+    def test_residual_matches_fresh_reduction(self, xy, level):
+        x, y = xy
+        lat = standard_relations(level)  # shared, so its kept reducers are reused
+        diff = {g: x.exponent(g) - y.exponent(g) for g in set(x.generators()) | set(y.generators())}
+        diff = {g: e for g, e in diff.items() if e}
+        gens = set(diff)
+        for r in lat.relations:
+            gens.update(r.vector.generators())
+        universe = sorted(gens, key=PeriodGenerator.sort_key)
+        fresh = IntegerLattice(len(universe))
+        for r in lat.relations:
+            fresh.add([r.vector.exponent(g) for g in universe])
+        for i, g in enumerate(universe):
+            if trivial_at(g, level):
+                fresh.add([int(i == j) for j in range(len(universe))])
+        reduced = fresh.reduce([diff.get(g, 0) for g in universe])
+        expected = PeriodMonomial.from_dict(dict(zip(universe, reduced)))
+
+        result = equivalent_mod(x, y, lat)
+        assert result.residual == expected
+        assert result.equivalent == expected.is_one()
+
+    def test_outside_generator_sorting_first_is_kept(self):
+        auto = auto_period("Pi", (("t1", 1),))
+        res = equivalent_mod(mono((auto, 2), (CM_TYPE_SIGN, 3)), ONE, standard_relations(Level.Q))
+        assert res.residual == mono((auto, 2), (CM_TYPE_SIGN, 1))
 
 
 class TestNormalizingFactor:
@@ -424,10 +471,41 @@ class TestRelationContextContents:
         assert "period-dictionary" in tags
         assert "motivic-q0-of-character" in tags
         assert "cm-period-conjugation" in tags
-        assert tags >= {r.tag for r in character_relations(ONE_PAIR, PHI1)}
+        assert tags >= {r.tag for r in character_relations((("t1", ONE_PAIR.conj["t1"]),))}
         assert "petersson-factorization" in {r.tag for r in pairing_relations(Level.FGAL, 0)}
         no_tate = compare_automorphic_motivic(inst, tate=False).identity_tags
         assert "period-dictionary" not in set(no_tate)
 
     def test_q_level_excludes_fgal_relations(self):
         assert "petersson-factorization" not in {r.tag for r in pairing_relations(Level.Q, 0)}
+
+
+# Two models on the same place names whose conjugations pair them differently,
+# with one CM type {a, c} valid for both.
+PLACES = ("a", "b", "c", "d")
+CONJ_AB = CMFieldModel(PLACES, {"a": "b", "b": "a", "c": "d", "d": "c"}, {"e": {t: t for t in PLACES}})
+CONJ_AD = CMFieldModel(PLACES, {"a": "d", "d": "a", "c": "b", "b": "c"}, {"e": {t: t for t in PLACES}})
+
+
+class TestComparatorLatticeCache:
+    def instance(self, model):
+        # Counts a:1, c:0 differ, so the character relations of one model do
+        # not close the other's comparison.
+        ap = ArchParams({"a": (-4,), "c": (4,)}, 1, model)
+        return analyze_instance(ap, {"a": (-1, 1), "c": (1, -1)}, 0)
+
+    def test_cached_lattice_keyed_by_conjugation_and_dictionary(self):
+        instances = [self.instance(CONJ_AB), self.instance(CONJ_AD)]
+        fresh = {}
+        for k, inst in enumerate(instances):
+            for tate in (True, False):
+                periods._comparator_lattice.cache_clear()
+                fresh[k, tate] = compare_automorphic_motivic(inst, tate=tate)
+        for k in (0, 1):
+            assert fresh[k, True].points and fresh[k, True].all_equivalent
+            assert not fresh[k, False].all_equivalent
+        periods._comparator_lattice.cache_clear()
+        for _ in range(2):
+            for tate in (True, False):
+                for k, inst in enumerate(instances):
+                    assert compare_automorphic_motivic(inst, tate=tate) == fresh[k, tate], (k, tate)

@@ -1,0 +1,24 @@
+"""Every layer group a benchmark workload declares it exercises records calls.
+
+The benchmark's traced run refuses a workload whose declared groups stay
+silent; this runs the same check at Tier-1 on a small sweep-mix, so a
+change that routes the comparator around a traced function fails here.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_sweep_mix_exercises_every_declared_group(tmp_path, monkeypatch):
+    monkeypatch.setattr(workloads, "SWEEP_COUNT", 60)
+    wl = workloads.build("sweep-mix", 5, tmp_path)
+    groups = run.child([c.argv for c in wl.calls], trace=True)["trace"]["groups"]
+    assert [g for g in wl.exercises if groups[g]["calls"] == 0] == []
