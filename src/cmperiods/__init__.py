@@ -9,8 +9,7 @@ from .cmfield import (
     cyclic_model,
     dihedral_model,
     displacement_sign,
-    displacement_sign_family,
-    displacement_sign_invariance_check,
+    displacement_sign_invariance,
     klein_model,
     regular_family,
 )

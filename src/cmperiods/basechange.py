@@ -187,9 +187,9 @@ def base_change(chi: UnramChar) -> UnramChar:
     return UnramChar(_gl_side(chi.side), _bc_coords(chi.side, chi.coords))
 
 
-# Entries each position's image table keeps; a value past the cap is
-# computed but not stored.  The exhaustive sweeps and the witness use the
-# 12-value pool, so they stay well below it.
+# Entries each image table keeps; a value past the cap is computed but
+# not stored.  The exhaustive sweeps and the witness use the 12-value
+# pool, so they stay well below it.
 _IMAGE_TABLE_CAP = 64
 
 
@@ -216,13 +216,15 @@ def _coordinate_images(
     the commutativity square, so each route is its front images, the
     middle coordinate (odd rank only) and its back images.  Returns the
     target side, one ``_PositionImages`` per position, and the lhs and rhs
-    middle coordinates.
+    middle coordinates.  Positions with equal twist factors share one table.
     """
     u_twist, gl_twist = galois_twist(side, eps), galois_twist(_gl_side(side), eps)
     gl = gl_twist.coords
     back = side.m + 1 if side.odd_rank else side.m
+    tables: dict[tuple[QValue, QValue, QValue], dict] = {}
     positions = tuple(
-        _PositionImages(gl[i], gl[back + i], u_twist.coords[i], {}) for i in range(side.m)
+        _PositionImages(*factors, tables.setdefault(factors, {}))
+        for factors in ((gl[i], gl[back + i], u_twist.coords[i]) for i in range(side.m))
     )
     if side.odd_rank:
         return gl_twist.side, positions, (ONE_VALUE * gl[side.m],), (ONE_VALUE,)

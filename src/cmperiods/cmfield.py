@@ -199,55 +199,48 @@ def displacement_sign(model: CMFieldModel, phi: CMType, g: str) -> int:
     return -1 if len(phi.members - moved) % 2 else 1
 
 
-def displacement_sign_family(
-    model: CMFieldModel, phi: CMType, fam: EmbFamilyModel
-) -> dict[str, int]:
-    """Sign at each family point, via any group element reaching it from the base.
-
-    Verifies well-definedness: every element reaching a point must give the
-    same sign, and every point must be reachable.
-    """
-    phi.validate(model)
-    fam.validate(model)
-    signs: dict[str, int] = {}
-    for rho in fam.points:
-        reaching = [g for g in model.group if fam.action[g][fam.base] == rho]
-        if not reaching:
-            raise UnreachablePointError(f"no group element reaches point {rho!r}")
-        values = {displacement_sign(model, phi, g) for g in reaching}
-        if len(values) > 1:
-            raise IllPosedModelError(
-                f"point {rho!r} is reached with both signs; the family is ill posed"
-            )
-        signs[rho] = values.pop()
-    return signs
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
-    passed: bool
+    """One CM type's sign family, its stabilizer, and where the signs move."""
+
+    phi: CMType
+    signs: dict[str, int]
+    stabilizer: tuple[str, ...]
     failures: tuple[tuple[str, str], ...]  # (group element, point) counterexamples
 
 
-def displacement_sign_invariance_check(
-    model: CMFieldModel, phi: CMType, fam: EmbFamilyModel, fixers: set[str]
-) -> InvarianceReport:
-    """Check sign(g . rho) == sign(rho) for every CM-type-stabilizing g.
+def displacement_sign_invariance(
+    model: CMFieldModel, fam: EmbFamilyModel
+) -> tuple[InvarianceReport, ...]:
+    """Sign family and stabilizer invariance for every CM type, in ``cm_types()`` order.
 
-    Each fixer must satisfy g(phi) == phi; that hypothesis models group
-    elements acting trivially on the relevant fixed field.
+    The sign at a family point is that of any group element reaching it
+    from the base; every point must be reachable and every element
+    reaching it must give the same sign.  The report lists each
+    (g, rho) with g stabilizing the CM type and sign(g . rho) != sign(rho).
     """
-    for g in sorted(fixers):
-        if conjugate_cm_type(model, phi, g) != phi:
-            raise PreconditionError(f"element {g!r} does not stabilize the CM type")
-    signs = displacement_sign_family(model, phi, fam)
-    failures = []
-    for g in sorted(fixers):
-        act = fam.action[g]
-        for rho in fam.points:
-            if signs[act[rho]] != signs[rho]:
-                failures.append((g, rho))
-    return InvarianceReport(passed=not failures, failures=tuple(failures))
+    fam.validate(model)
+    reaching: dict[str, list[str]] = {rho: [] for rho in fam.points}
+    for g in model.group:
+        reaching[fam.action[g][fam.base]].append(g)
+    reports = []
+    for phi in model.cm_types():
+        signs: dict[str, int] = {}
+        for rho, elements in reaching.items():
+            if not elements:
+                raise UnreachablePointError(f"no group element reaches point {rho!r}")
+            values = {displacement_sign(model, phi, g) for g in elements}
+            if len(values) > 1:
+                raise IllPosedModelError(
+                    f"point {rho!r} is reached with both signs; the family is ill posed"
+                )
+            signs[rho] = values.pop()
+        stabilizer = tuple(g for g in sorted(model.group) if conjugate_cm_type(model, phi, g) == phi)
+        failures = tuple(
+            (g, rho) for g in stabilizer for rho in fam.points if signs[fam.action[g][rho]] != signs[rho]
+        )
+        reports.append(InvarianceReport(phi, signs, stabilizer, failures))
+    return tuple(reports)
 
 
 def extend_signature(

@@ -25,9 +25,7 @@ from .cmfield import (
     EmbFamilyModel,
     cyclic_model,
     dihedral_model,
-    displacement_sign_family,
-    displacement_sign_invariance_check,
-    conjugate_cm_type,
+    displacement_sign_invariance,
     klein_model,
     regular_family,
 )
@@ -608,19 +606,13 @@ def _run_basechange(scn: Scenario, chk: dict) -> Outcome:
 def _run_ephi(scn: Scenario, chk: dict) -> Outcome:
     family = scn.family if scn.family is not None else regular_family(scn.model)
     details: dict[str, Any] = {}
-    failures = []
-    for phi in scn.model.cm_types():
-        signs = displacement_sign_family(scn.model, phi, family)
-        stab = {
-            g for g in scn.model.group if conjugate_cm_type(scn.model, phi, g) == phi
-        }
-        rep = displacement_sign_invariance_check(scn.model, phi, family, stab)
-        if not rep.passed:
-            failures.append(sorted(phi.members))
-        if phi == scn.cm_type:
-            details["signs"] = signs
-            details["stabilizer"] = sorted(stab)
-    details["cm_types_checked"] = 2 ** scn.model.degree_plus
+    reports = displacement_sign_invariance(scn.model, family)
+    for rep in reports:
+        if rep.phi == scn.cm_type:
+            details["signs"] = rep.signs
+            details["stabilizer"] = list(rep.stabilizer)
+    failures = [sorted(rep.phi.members) for rep in reports if rep.failures]
+    details["cm_types_checked"] = len(reports)
     details["failures"] = failures
     return (
         "pass" if not failures else "fail",

@@ -25,8 +25,8 @@ from cmperiods.cmfield import (
     conjugate_cm_type,
     cyclic_model,
     dihedral_model,
-    displacement_sign_family,
-    displacement_sign_invariance_check,
+    displacement_sign,
+    displacement_sign_invariance,
     klein_model,
     regular_family,
 )
@@ -239,12 +239,16 @@ def test_criterion_08_sign_family_invariance():
         assert len(model.group) <= 12
         fam = regular_family(model)
         models += 1
-        for phi in model.cm_types():
+        reports = displacement_sign_invariance(model, fam)
+        assert [report.phi for report in reports] == list(model.cm_types())
+        for report in reports:
+            phi, signs = report.phi, report.signs
             types += 1
-            signs = displacement_sign_family(model, phi, fam)
+            # In the regular family the point named g is reached by g alone.
+            assert signs == {g: displacement_sign(model, phi, g) for g in fam.points}
             stab = {g for g in model.group if conjugate_cm_type(model, phi, g) == phi}
-            report = displacement_sign_invariance_check(model, phi, fam, stab)
-            assert report.passed, (model, phi)
+            assert report.stabilizer == tuple(sorted(stab))
+            assert report.failures == (), (model, phi)
             for g in stab:
                 for rho in fam.points:
                     checks += 1

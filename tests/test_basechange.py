@@ -148,6 +148,15 @@ class TestCoordinateImages:
         for side, eps, coords in calls:
             assert_matches_oracle(side, eps, coords[: side.m])
 
+    def test_one_table_per_factor_triple(self):
+        for side in SIDES + [USide(4), USide(4, True)]:
+            for eps in (1, -1):
+                _, positions, _, _ = basechange._coordinate_images(side, eps)
+                triples = {(p.front, p.back, p.unitary) for p in positions}
+                assert len({id(p.table) for p in positions}) == len(triples)
+                for p, q in itertools.combinations(positions, 2):
+                    assert (p.table is q.table) == (p[:3] == q[:3])
+
     def test_table_size_is_capped(self):
         side = USide(1)
         for num in range(1, 3 * basechange._IMAGE_TABLE_CAP):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cmperiods import scenario
+from cmperiods import cmfield, scenario
 from cmperiods.cli import main
+from cmperiods.cmfield import EmbFamilyModel, conjugate_cm_type
 from cmperiods.errors import ScenarioError
 from cmperiods.scenario import Scenario, emit_report, parse_scenario, run_checks, run_sweeps
 from cmperiods.weights import similitude_twist
@@ -376,6 +377,39 @@ class TestReports:
         assert by_id["crit"].status in ("pass", "fail", "error")
 
 
+class TestEphiCheck:
+    def ephi_scenario(self, tmp_path, model, n_checks=1):
+        payload = copy.deepcopy(DEMO_DOC)
+        payload["field_model"] = {"builtin": model}
+        payload["checks"] = [{"id": f"ephi-{i}", "kind": "ephi"} for i in range(n_checks)]
+        return parse_scenario(write(tmp_path, payload))
+
+    def test_family_validated_once_per_check(self, tmp_path, monkeypatch):
+        scn = self.ephi_scenario(tmp_path, "cyclic:2", n_checks=3)
+        calls = []
+        validate = EmbFamilyModel.validate
+        monkeypatch.setattr(EmbFamilyModel, "validate", lambda fam, model: calls.append(fam) or validate(fam, model))
+        results = run_checks(scn).results
+        assert [r.status for r in results] == ["pass"] * 3
+        assert len(calls) == 3
+
+    def test_moved_sign_fails_the_check(self, tmp_path, monkeypatch):
+        # On klein, a sign of -1 on the coset {s, c} is invariant under
+        # translation by sc but not by s, so exactly the CM types that s
+        # stabilizes fail.
+        scn = self.ephi_scenario(tmp_path, "klein")
+        monkeypatch.setattr(cmfield, "displacement_sign", lambda model, phi, g: -1 if g in ("s", "c") else 1)
+        (result,) = run_checks(scn).results
+        stabilized_by_s = [
+            sorted(phi.members) for phi in scn.model.cm_types() if conjugate_cm_type(scn.model, phi, "s") == phi
+        ]
+        assert result.status == "fail"
+        assert result.details["failures"] == stabilized_by_s == [["t1", "t2"], ["c1", "c2"]]
+        assert result.details["stabilizer"] == ["e", "s"]
+        assert result.details["signs"] == {"c": -1, "e": 1, "s": -1, "sc": 1}
+        assert result.details["cm_types_checked"] == 4
+
+
 class TestMainEntry:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
@@ -473,6 +507,12 @@ class TestMainEntry:
                 check["kind"] = "compare"
         recorded = (Path(__file__).parent / "data" / "demo_sweep_seed7.json").read_text(encoding="utf-8")
         assert json.dumps(report, sort_keys=True, indent=2) + "\n" == recorded
+
+    def test_demo_tate_off_check_report_is_recorded(self, capsys):
+        # With tate off the demo's compare check fails at its critical points.
+        assert main(["check", str(DEMO), "--level", "q", "--tate", "off"]) == 1
+        recorded = (Path(__file__).parent / "data" / "demo_check_q_tate_off.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == recorded
 
     def test_demo_tate_off_sweep_report_is_recorded(self, capsys):
         # With tate off every compared point fails, and each listed failure

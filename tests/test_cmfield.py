@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cmperiods import cmfield
 from cmperiods.cmfield import (
     CMFieldModel,
     CMType,
@@ -12,8 +13,7 @@ from cmperiods.cmfield import (
     cyclic_model,
     dihedral_model,
     displacement_sign,
-    displacement_sign_family,
-    displacement_sign_invariance_check,
+    displacement_sign_invariance,
     klein_model,
     regular_family,
 )
@@ -158,21 +158,25 @@ class TestDisplacementSign:
                 assert displacement_sign(model, phi, name) == direct
 
 
+def report_for(model, phi, fam):
+    """The invariance report of one CM type."""
+    (report,) = [r for r in displacement_sign_invariance(model, fam) if r.phi == phi]
+    return report
+
+
 class TestSignFamily:
     def test_trivial_group_constant(self):
         two = cyclic_model(1)
         ident = identity_name(two)
-        fam = EmbFamilyModel(points=("p",), base="p", action={g: {"p": "p"} for g in two.group})
         # Only the identity reaches p in a family where all elements act trivially
         # but have different signs, so restrict the model to the identity.
         model = CMFieldModel(two.embeddings, two.conj, {ident: two.element(ident)})
         fam1 = EmbFamilyModel(points=("p",), base="p", action={ident: {"p": "p"}})
-        signs = displacement_sign_family(model, model.canonical_cm_type(), fam1)
-        assert signs == {"p": 1}
+        assert report_for(model, model.canonical_cm_type(), fam1).signs == {"p": 1}
 
     def test_regular_family_of_the_four_cycle(self):
         fam = regular_family(FOUR)
-        signs = displacement_sign_family(FOUR, PHI, fam)
+        signs = report_for(FOUR, PHI, fam).signs
         assert signs == {"g0": 1, "g1": -1, "g2": 1, "g3": -1}
 
     def test_unreachable_point(self):
@@ -180,26 +184,30 @@ class TestSignFamily:
         ident = identity_name(two)
         model = CMFieldModel(two.embeddings, two.conj, {ident: two.element(ident)})
         fam = EmbFamilyModel(points=("p", "q"), base="p", action={ident: {"p": "p", "q": "q"}})
-        with pytest.raises(UnreachablePointError):
-            displacement_sign_family(model, model.canonical_cm_type(), fam)
+        with pytest.raises(UnreachablePointError, match="^no group element reaches point 'q'$"):
+            displacement_sign_invariance(model, fam)
 
     def test_ill_posed_family(self):
         # Every element fixes the single point, but the 4-cycle has sign -1
         # while the identity has sign +1.
         action = {g: {"p": "p"} for g in FOUR.group}
         fam = EmbFamilyModel(points=("p",), base="p", action=action)
-        with pytest.raises(IllPosedModelError):
-            displacement_sign_family(FOUR, PHI, fam)
+        with pytest.raises(
+            IllPosedModelError, match="^point 'p' is reached with both signs; the family is ill posed$"
+        ):
+            displacement_sign_invariance(FOUR, fam)
 
     def test_constant_on_stabilizer_orbits(self):
         for model in MODEL_ZOO:
             fam = regular_family(model)
-            for phi in model.cm_types():
-                signs = displacement_sign_family(model, phi, fam)
-                stab = [g for g in model.group if conjugate_cm_type(model, phi, g) == phi]
+            reports = displacement_sign_invariance(model, fam)
+            assert [r.phi for r in reports] == list(model.cm_types())
+            for report in reports:
+                stab = [g for g in model.group if conjugate_cm_type(model, report.phi, g) == report.phi]
+                assert report.stabilizer == tuple(sorted(stab))
                 for g in stab:
                     for rho in fam.points:
-                        assert signs[fam.action[g][rho]] == signs[rho]
+                        assert report.signs[fam.action[g][rho]] == report.signs[rho]
 
 
 def scan_realized(model, fam):
@@ -270,22 +278,30 @@ class TestFamilyValidation:
 
 class TestInvarianceCheck:
     def test_identity_fixer_passes(self):
-        fam = regular_family(FOUR)
-        rep = displacement_sign_invariance_check(FOUR, PHI, fam, {"g0"})
-        assert rep.passed
+        report = report_for(FOUR, PHI, regular_family(FOUR))
+        assert report.stabilizer == ("g0",)
+        assert report.failures == ()
 
     def test_full_stabilizer_passes(self):
         model = klein_model()
         phi = CMType(frozenset({"t1", "t2"}))
-        fam = regular_family(model)
-        stab = {g for g in model.group if conjugate_cm_type(model, phi, g) == phi}
-        assert stab == {"e", "s"}
-        assert displacement_sign_invariance_check(model, phi, fam, stab).passed
+        report = report_for(model, phi, regular_family(model))
+        assert report.stabilizer == ("e", "s")
+        assert report.failures == ()
 
-    def test_non_stabilizing_fixer_rejected(self):
-        fam = regular_family(FOUR)
-        with pytest.raises(PreconditionError):
-            displacement_sign_invariance_check(FOUR, PHI, fam, {"g1"})
+    def test_moved_signs_are_listed(self, monkeypatch):
+        # A sign of -1 on the coset {s, c} is invariant under translation
+        # by sc but not by s, so only the CM types that s stabilizes fail,
+        # each at every point s moves.
+        monkeypatch.setattr(cmfield, "displacement_sign", lambda model, phi, g: -1 if g in ("s", "c") else 1)
+        model = klein_model()
+        reports = displacement_sign_invariance(model, regular_family(model))
+        failing = {r.phi for r in reports if r.failures}
+        assert failing == {r.phi for r in reports if "s" in r.stabilizer}
+        assert failing == {CMType(frozenset({"t1", "t2"})), CMType(frozenset({"c1", "c2"}))}
+        for report in reports:
+            if report.phi in failing:
+                assert report.failures == (("s", "c"), ("s", "e"), ("s", "s"), ("s", "sc"))
 
 
 class TestConjugateSignature:
