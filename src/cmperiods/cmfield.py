@@ -184,19 +184,23 @@ class EmbFamilyModel:
                 )
 
 
+def _image_and_sign(model: CMFieldModel, phi: CMType, g: str) -> tuple[frozenset[str], int]:
+    """g(phi) and (-1)**|phi minus g(phi)|, for a CM type already known to be valid."""
+    perm = model.element(g)
+    image = frozenset(perm[t] for t in phi.members)
+    return image, -1 if len(phi.members - image) % 2 else 1
+
+
 def conjugate_cm_type(model: CMFieldModel, phi: CMType, g: str) -> CMType:
     """Image CM type {g(t) for t in phi}; valid because g commutes with conj."""
     phi.validate(model)
-    perm = model.element(g)
-    return CMType(frozenset(perm[t] for t in phi.members))
+    return CMType(_image_and_sign(model, phi, g)[0])
 
 
 def displacement_sign(model: CMFieldModel, phi: CMType, g: str) -> int:
     """(-1)**|phi minus g(phi)|, the sign measuring how far g moves the CM type."""
     phi.validate(model)
-    perm = model.element(g)
-    moved = {perm[t] for t in phi.members}
-    return -1 if len(phi.members - moved) % 2 else 1
+    return _image_and_sign(model, phi, g)[1]
 
 
 @dataclass(frozen=True)
@@ -225,17 +229,20 @@ def displacement_sign_invariance(
         reaching[fam.action[g][fam.base]].append(g)
     reports = []
     for phi in model.cm_types():
+        # g(phi) once per element (phi comes from the model, so it is valid):
+        # the sign and the stabilizer both read it.
+        moved = {g: _image_and_sign(model, phi, g) for g in model.group}
         signs: dict[str, int] = {}
         for rho, elements in reaching.items():
             if not elements:
                 raise UnreachablePointError(f"no group element reaches point {rho!r}")
-            values = {displacement_sign(model, phi, g) for g in elements}
+            values = {moved[g][1] for g in elements}
             if len(values) > 1:
                 raise IllPosedModelError(
                     f"point {rho!r} is reached with both signs; the family is ill posed"
                 )
             signs[rho] = values.pop()
-        stabilizer = tuple(g for g in sorted(model.group) if conjugate_cm_type(model, phi, g) == phi)
+        stabilizer = tuple(g for g in sorted(model.group) if moved[g][0] == phi.members)
         failures = tuple(
             (g, rho) for g in stabilizer for rho in fam.points if signs[fam.action[g][rho]] != signs[rho]
         )

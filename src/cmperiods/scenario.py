@@ -11,11 +11,13 @@ printed only in the text rendering).
 from __future__ import annotations
 
 import json
+import random
 import reprlib
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Iterator
 
 from . import basechange as bc
@@ -29,7 +31,7 @@ from .cmfield import (
     klein_model,
     regular_family,
 )
-from .errors import CMPeriodsError, ScenarioError
+from .errors import CMPeriodsError, InvalidCMTypeError, ScenarioError
 from .hecke import InfinityType
 from .hodge import (
     ArchParams,
@@ -52,6 +54,8 @@ from .sweeps import (
     run_dominance_sweep,
     run_equivariance_sweep,
     run_signature_sweep,
+    seeded_instances,
+    weight_data,
 )
 from .weights import (
     Signature,
@@ -169,6 +173,19 @@ def _named(raw: dict, block: str) -> Iterator[tuple[str, str, dict]]:
         yield name, f"{block}.{name}", _shaped(spec, dict, f"{block}.{name}")
 
 
+def _per_place(spec: dict, key: str, model: CMFieldModel, where: str) -> dict:
+    """The object ``spec[key]``, whose keys must be the places of a CM type of the model."""
+    entries, where = _member(spec, key, where), f"{where}.{key}"
+    for t in entries:
+        if t not in model.conj:
+            raise ScenarioError(f"{where}: {t!r} is not an embedding of the field model")
+    try:
+        CMType(frozenset(entries)).validate(model)
+    except InvalidCMTypeError as exc:
+        raise ScenarioError(f"{where}: keys {sorted(entries)} are not a CM type: {exc}") from exc
+    return entries
+
+
 BUILTIN_MODELS = {
     "cyclic": cyclic_model,
     "dihedral": dihedral_model,
@@ -215,6 +232,14 @@ _CHECK_REFS = {
     "compare": _INSTANCE_REFS,
     "weights": (("weight", "weights"), ("infinity_type", "infinity_types"), ("signature", "signatures")),
 }
+# The blocks keyed by the places of a CM type, with each entry's keyed mapping.
+# The entries one check refers to from these blocks must share their places.
+_PLACE_KEYED = {
+    "arch_params": lambda ap: ap.doubled,
+    "characters": lambda char: char["pairs"],
+    "weights": lambda mu: mu.entries,
+    "signatures": lambda sig: sig.pairs,
+}
 _INT_FIELDS = {
     "lemma_d": ("n_max", "kappa_max", "d_max", "m_extra"),
     "compare": ("a0",),
@@ -229,6 +254,14 @@ def _check_fields(chk: dict, where: str, blocks: dict[str, dict]) -> None:
         ref = chk.get(name)
         if not isinstance(ref, str) or ref not in blocks[block]:
             raise ScenarioError(f"{where}: {name} must be a name defined in {block}, got {ref!r}")
+    places = {
+        name: sorted(_PLACE_KEYED[block](blocks[block][chk[name]]))
+        for name, block in _CHECK_REFS.get(chk["kind"], ())
+        if block in _PLACE_KEYED
+    }
+    if len({tuple(keys) for keys in places.values()}) > 1:
+        named = " and ".join(f"{name} {chk[name]!r} on {keys}" for name, keys in places.items())
+        raise ScenarioError(f"{where}: {named} must be keyed by the same places")
     for name in _INT_FIELDS.get(chk["kind"], ()):
         if name in chk:
             _int(chk[name], f"{where}: {name}")
@@ -296,14 +329,14 @@ def parse_scenario(path: str) -> Scenario:
 
         signatures = {}
         for name, where, spec in _named(raw, "signatures"):
-            pairs = _member(spec, "pairs", where)
+            pairs = _per_place(spec, "pairs", model, where)
             pairs = {t: _int_pair(rs, f"{where}.pairs.{t}") for t, rs in pairs.items()}
             signatures[name] = Signature(pairs, _int(spec["n"], f"{where}.n"))
         weight_params = {}
         for name, where, spec in _named(raw, "weights"):
             rows = {
                 t: tuple(_int(a, f"{where}.entries.{t}") for a in _shaped(row, list, f"{where}.entries.{t}"))
-                for t, row in _member(spec, "entries", where).items()
+                for t, row in _per_place(spec, "entries", model, where).items()
             }
             a0, n = _int(spec["a0"], f"{where}.a0"), _int(spec["n"], f"{where}.n")
             weight_params[name] = WeightParam(rows, a0, n)
@@ -315,7 +348,7 @@ def parse_scenario(path: str) -> Scenario:
         for name, where, spec in _named(raw, "arch_params"):
             n = _int(spec["n"], f"{where}.n")
             doubled = {}
-            for t, row in _member(spec, "entries", where).items():
+            for t, row in _per_place(spec, "entries", model, where).items():
                 doubled[t] = tuple(_doubled(x, f"{where}.{t}") for x in _shaped(row, list, f"{where}.{t}"))
                 defect = arch_row_defect(doubled[t], n)
                 if defect:
@@ -323,7 +356,7 @@ def parse_scenario(path: str) -> Scenario:
             arch_params[name] = ArchParams(doubled, n, model)
         characters = {}
         for name, where, spec in _named(raw, "characters"):
-            pairs = _member(spec, "pairs", where)
+            pairs = _per_place(spec, "pairs", model, where)
             pairs = {t: _int_pair(p, f"{where}.pairs.{t}") for t, p in pairs.items()}
             characters[name] = {"pairs": pairs, "kappa": _int(spec.get("kappa", 0), f"{where}.kappa")}
 
@@ -681,18 +714,25 @@ def _sweep_outcome(name: str, sweep) -> Outcome:
 
 
 def run_sweeps(scn: Scenario) -> Report:
-    """Randomized property sweeps driven by the scenario's seed and bounds."""
+    """Randomized property sweeps over sources seeded from the scenario's seed and bounds."""
     seed = scn.options.seed
     count = scn.options.sweep_count
     bounds = scn.options.sweep
     level = scn.options.level_enum()
     tate = scn.options.tate_enabled()
+
+    def instances(k: int) -> Iterator[InstanceAnalysis]:
+        return seeded_instances(random.Random(seed + k), count, bounds)
+
+    # Equivariance alternates instance and weight-datum draws on one stream.
+    shared = random.Random(seed + 4)
+    pairs = zip(seeded_instances(shared, max(1, count // 10), bounds), weight_data(shared, 4))
     sweeps = [
-        ("compare", partial(run_compare_sweep, seed, count, bounds, level, tate)),
-        ("bounds", partial(run_bounds_sweep, seed + 1, count, bounds)),
-        ("signature", partial(run_signature_sweep, seed + 2, count, bounds)),
-        ("dominance", partial(run_dominance_sweep, seed + 3, count)),
-        ("equivariance", partial(run_equivariance_sweep, seed + 4, max(1, count // 10), bounds, level, tate)),
+        ("compare", partial(run_compare_sweep, instances(0), level, tate)),
+        ("bounds", partial(run_bounds_sweep, instances(1))),
+        ("signature", partial(run_signature_sweep, instances(2))),
+        ("dominance", partial(run_dominance_sweep, islice(weight_data(random.Random(seed + 3), 8), count))),
+        ("equivariance", partial(run_equivariance_sweep, pairs, level, tate)),
     ]
     jobs = [(f"sweep-{name}", name, partial(_sweep_outcome, name, sweep)) for name, sweep in sweeps]
     return _report(scn, jobs, count=count)

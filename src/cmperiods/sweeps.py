@@ -1,8 +1,10 @@
 """Seeded randomized sweeps over regular instances.
 
 Shared by the command-line ``sweep`` subcommand and the acceptance
-suite.  Every sweep is driven by an explicit seed and
-returns a small stats object, so runs are reproducible byte for byte.
+suite.  Every sweep consumes an instance source, an iterable of the
+items it checks, and returns a small stats object.  The sources here
+(``seeded_instances`` and ``weight_data``) draw lazily from a caller's
+``random.Random``, so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .cmfield import CMFieldModel, cyclic_model
 from .hecke import InfinityType
@@ -83,6 +86,12 @@ def random_instance(rng: random.Random, bounds: SweepBounds = DEFAULT_BOUNDS) ->
         return analyze_instance(ArchParams(doubled, n, model), pairs, kappa)
 
 
+def seeded_instances(rng: random.Random, count: int, bounds: SweepBounds) -> Iterator[InstanceAnalysis]:
+    """``count`` random instances drawn lazily from ``rng``, one per step."""
+    for _ in range(count):
+        yield random_instance(rng, bounds)
+
+
 def _halved(ap: ArchParams) -> dict[str, tuple[Fraction, ...]]:
     """The parameters themselves, as a failure message prints them."""
     return {t: tuple(Fraction(a, 2) for a in row) for t, row in ap.doubled.items()}
@@ -101,17 +110,11 @@ class SweepStats:
 
 
 def run_compare_sweep(
-    seed: int,
-    count: int,
-    bounds: SweepBounds = DEFAULT_BOUNDS,
-    level: Level = Level.FGAL,
-    tate: bool = True,
+    instances: Iterable[InstanceAnalysis], level: Level = Level.FGAL, tate: bool = True
 ) -> SweepStats:
-    """Comparator verdicts over ``count`` random instances at every admissible point."""
-    rng = random.Random(seed)
+    """Comparator verdicts over the instances at every admissible point."""
     stats = SweepStats()
-    for _ in range(count):
-        inst = random_instance(rng, bounds)
+    for inst in instances:
         report = compare_automorphic_motivic(inst, level=level, tate=tate)
         stats.instances += 1
         stats.points_checked += len(report.points)
@@ -125,14 +128,10 @@ def run_compare_sweep(
     return stats
 
 
-def run_bounds_sweep(
-    seed: int, count: int, bounds: SweepBounds = DEFAULT_BOUNDS
-) -> SweepStats:
+def run_bounds_sweep(instances: Iterable[InstanceAnalysis]) -> SweepStats:
     """Critical points above the threshold satisfy the evaluation bounds."""
-    rng = random.Random(seed)
     stats = SweepStats()
-    for _ in range(count):
-        inst = random_instance(rng, bounds)
+    for inst in instances:
         report = critical_points_satisfy_bounds(inst)
         stats.instances += 1
         stats.points_checked += len(report.points_checked)
@@ -143,14 +142,10 @@ def run_bounds_sweep(
     return stats
 
 
-def run_signature_sweep(
-    seed: int, count: int, bounds: SweepBounds = DEFAULT_BOUNDS
-) -> SweepStats:
+def run_signature_sweep(instances: Iterable[InstanceAnalysis]) -> SweepStats:
     """Signature maps agree across the two dictionaries and split sums hold."""
-    rng = random.Random(seed)
     stats = SweepStats()
-    for _ in range(count):
-        inst = random_instance(rng, bounds)
+    for inst in instances:
         stats.instances += 1
         counts_arch, counts_hodge = inst.counts_arch, inst.counts_hodge
         if counts_arch != counts_hodge:
@@ -181,17 +176,22 @@ def random_signature(rng: random.Random, model: CMFieldModel, n: int) -> Signatu
     return Signature({t: (lambda r: (r, n - r))(rng.randint(0, n)) for t in taus}, n)
 
 
-def run_dominance_sweep(seed: int, count: int, n_max: int = 8) -> SweepStats:
-    """Doubling parameters of dominant inputs are block dominant."""
-    rng = random.Random(seed)
-    stats = SweepStats()
-    for _ in range(count):
-        d = rng.randint(1, 3)
+WeightDatum = tuple[WeightParam, InfinityType, Signature]  # dominant weight, psi, signature
+
+
+def weight_data(rng: random.Random, n_max: int) -> Iterator[WeightDatum]:
+    """Endless weight data on cyclic models of degree 1 to 3, at rank 1 to ``n_max``."""
+    while True:
+        model = _model(rng.randint(1, 3))
         n = rng.randint(1, n_max)
-        model = _model(d)
         mu = random_dominant_weight(rng, model, n)
-        psi = random_infinity_type(rng, model)
-        sig = random_signature(rng, model, n)
+        yield mu, random_infinity_type(rng, model), random_signature(rng, model, n)
+
+
+def run_dominance_sweep(data: Iterable[WeightDatum]) -> SweepStats:
+    """Doubling parameters of dominant inputs are block dominant."""
+    stats = SweepStats()
+    for mu, psi, sig in data:
         stats.instances += 1
         if not is_dominant(mu):
             stats.failures.append("generator produced a non-dominant weight")
@@ -203,26 +203,19 @@ def run_dominance_sweep(seed: int, count: int, n_max: int = 8) -> SweepStats:
 
 
 def run_equivariance_sweep(
-    seed: int,
-    count: int,
-    bounds: SweepBounds = DEFAULT_BOUNDS,
-    level: Level = Level.FGAL,
-    tate: bool = True,
+    pairs: Iterable[tuple[InstanceAnalysis, WeightDatum]], level: Level = Level.FGAL, tate: bool = True
 ) -> SweepStats:
     """Conjugating an instance by any group element preserves every verdict.
 
-    Also sweeps the interaction of weight conjugation with the doubling
-    parameter: transporting the inputs and transporting the output agree,
-    with the character moved by the inverse element.
+    Each instance's paired weight datum checks weight conjugation against
+    the doubling parameter: transporting the inputs and transporting the
+    output agree, with the character moved by the inverse element.
     """
-    rng = random.Random(seed)
     stats = SweepStats()
-    for _ in range(count):
-        inst = random_instance(rng, bounds)
-        model = inst.model
+    for inst, (mu, psi, sig) in pairs:
         base = compare_automorphic_motivic(inst, level=level, tate=tate)
         stats.instances += 1
-        for g in sorted(model.group):
+        for g in sorted(inst.model.group):
             conj = inst.conjugated(g)
             if conj.exponents != inst.exponents:
                 stats.failures.append(f"exponent set moved under {g}")
@@ -234,15 +227,6 @@ def run_equivariance_sweep(
             for a, b in zip(report.points, base.points):
                 if a.equivalent != b.equivalent:
                     stats.failures.append(f"verdict changed under {g} at m={a.m}")
-
-        # Doubling-parameter equivariance on a fresh random weight datum.
-        d = rng.randint(1, 3)
-        n = rng.randint(1, 4)
-        wmodel = _model(d)
-        mu = random_dominant_weight(rng, wmodel, n)
-        psi = random_infinity_type(rng, wmodel)
-        sig = random_signature(rng, wmodel, n)
-        lam = doubling_weight(mu, psi, sig)
-        for g in doubling_equivariance_failures(mu, psi, sig, lam):
+        for g in doubling_equivariance_failures(mu, psi, sig, doubling_weight(mu, psi, sig)):
             stats.failures.append(f"doubling parameter not equivariant under {g}")
     return stats

@@ -48,9 +48,10 @@ from cmperiods.sweeps import (
     SweepBounds,
     random_dominant_weight,
     random_infinity_type,
-    random_instance,
     random_signature,
     run_dominance_sweep,
+    seeded_instances,
+    weight_data,
 )
 from cmperiods.weights import (
     conjugate_weight,
@@ -69,8 +70,7 @@ def announce(number: int, name: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def instance_sweep():
-    rng = random.Random(SEED)
-    return [random_instance(rng, BOUNDS) for _ in range(1000)]
+    return list(seeded_instances(random.Random(SEED), 1000, BOUNDS))
 
 
 def test_criterion_01_normalizing_factor_mechanization():
@@ -309,17 +309,11 @@ def test_criterion_09_galois_equivariance(instance_sweep):
 
 
 def test_criterion_10_dominance_preservation():
-    stats = run_dominance_sweep(SEED + 10, 10_000, n_max=8)
+    stats = run_dominance_sweep(itertools.islice(weight_data(random.Random(SEED + 10), 8), 10_000))
     assert stats.instances == 10_000
     assert stats.ok, stats.failures[:3]
     # Direct spot re-verification on a fresh stream.
-    rng = random.Random(SEED + 11)
-    for _ in range(500):
-        model = cyclic_model(rng.randint(1, 3))
-        n = rng.randint(1, 8)
-        mu = random_dominant_weight(rng, model, n)
-        psi = random_infinity_type(rng, model)
-        sig = random_signature(rng, model, n)
+    for mu, psi, sig in itertools.islice(weight_data(random.Random(SEED + 11), 8), 500):
         assert is_dominant(mu)
         assert is_block_dominant(doubling_weight(mu, psi, sig), sig)
     announce(10, "dominance preservation", "10500 random dominant inputs, block dominance kept")

@@ -252,6 +252,43 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err.startswith(f"input error: {where} must be")
 
+    @pytest.mark.parametrize(
+        "path, keys, message",
+        [
+            pytest.param(("arch_params", "Pi", "entries"), ["t1", "t2", "zz"],
+                         "arch_params.Pi.entries: 'zz' is not an embedding of the field model", id="arch-zz"),
+            pytest.param(("characters", "eta", "pairs"), ["t1", "t2", "zz"],
+                         "characters.eta.pairs: 'zz' is not an embedding of the field model", id="character-zz"),
+            pytest.param(("weights", "mu", "entries"), ["zz", "t2"],
+                         "weights.mu.entries: 'zz' is not an embedding of the field model", id="weight-zz"),
+            pytest.param(("signatures", "sig", "pairs"), ["t1", "t2", "zz"],
+                         "signatures.sig.pairs: 'zz' is not an embedding of the field model", id="signature-zz"),
+            pytest.param(("signatures", "sig", "pairs"), ["t1"],
+                         "signatures.sig.pairs: keys ['t1'] are not a CM type:"
+                         " CM type does not cover every conjugate pair", id="signature-without-t2"),
+            pytest.param(("arch_params", "Pi", "entries"), ["t1", "c1"],
+                         "arch_params.Pi.entries: keys ['c1', 't1'] are not a CM type:"
+                         " CM type contains a conjugate pair", id="arch-conjugate-pair"),
+            pytest.param(("characters", "eta", "pairs"), ["t1", "c2"],
+                         "checks[1]: arch 'Pi' on ['t1', 't2'] and character 'eta' on ['c2', 't1']"
+                         " must be keyed by the same places", id="character-other-cm-type"),
+            pytest.param(("signatures", "sig", "pairs"), ["t1", "c2"],
+                         "checks[3]: weight 'mu' on ['t1', 't2'] and signature 'sig' on ['c2', 't1']"
+                         " must be keyed by the same places", id="signature-other-cm-type"),
+        ],
+    )
+    def test_place_keys_exit_two(self, tmp_path, capsys, path, keys, message):
+        # Per-place entries are keyed by a CM type of the model, and the two
+        # such entries a check pairs are keyed by the same one.  The demo's
+        # rows are reused, cyclically, under the new keys.
+        block, name, key = path
+        rows = list(DEMO_DOC[block][name][key].values())
+        payload = mutated(copy.deepcopy(DEMO_DOC), [(path, {t: rows[i % len(rows)] for i, t in enumerate(keys)})])
+        assert main(["check", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.lists(
@@ -398,7 +435,12 @@ class TestEphiCheck:
         # translation by sc but not by s, so exactly the CM types that s
         # stabilizes fail.
         scn = self.ephi_scenario(tmp_path, "klein")
-        monkeypatch.setattr(cmfield, "displacement_sign", lambda model, phi, g: -1 if g in ("s", "c") else 1)
+        image_and_sign = cmfield._image_and_sign
+        monkeypatch.setattr(
+            cmfield,
+            "_image_and_sign",
+            lambda model, phi, g: (image_and_sign(model, phi, g)[0], -1 if g in ("s", "c") else 1),
+        )
         (result,) = run_checks(scn).results
         stabilized_by_s = [
             sorted(phi.members) for phi in scn.model.cm_types() if conjugate_cm_type(scn.model, phi, "s") == phi
@@ -490,10 +532,11 @@ class TestMainEntry:
     def test_demo_report_unchanged_under_optimize(self):
         # Under -O every assert is stripped; the report must not depend on one.
         env = dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src"))
-        cmd = ["-m", "cmperiods", "check", str(DEMO)]
-        plain = subprocess.run([sys.executable, *cmd], capture_output=True, env=env, check=True)
-        optimized = subprocess.run([sys.executable, "-O", *cmd], capture_output=True, env=env, check=True)
-        assert optimized.stdout == plain.stdout
+        for args in (["check", str(DEMO)], ["sweep", str(DEMO), "--seed", "7"]):
+            cmd = ["-m", "cmperiods", *args]
+            plain = subprocess.run([sys.executable, *cmd], capture_output=True, env=env, check=True)
+            optimized = subprocess.run([sys.executable, "-O", *cmd], capture_output=True, env=env, check=True)
+            assert optimized.stdout == plain.stdout
 
     def test_demo_sweep_report_is_recorded(self, capsys):
         # The recorded report predates labelling each sweep by its own kind

@@ -289,11 +289,26 @@ class TestInvarianceCheck:
         assert report.stabilizer == ("e", "s")
         assert report.failures == ()
 
+    def test_cm_types_are_not_revalidated(self, monkeypatch):
+        # Every CM type comes from model.cm_types(), so none needs validating.
+        fam = regular_family(FOUR)
+        calls = []
+        validate = CMType.validate
+        monkeypatch.setattr(CMType, "validate", lambda phi, model: calls.append(phi) or validate(phi, model))
+        reports = displacement_sign_invariance(FOUR, fam)
+        assert len(reports) == 4
+        assert calls == []
+
     def test_moved_signs_are_listed(self, monkeypatch):
         # A sign of -1 on the coset {s, c} is invariant under translation
         # by sc but not by s, so only the CM types that s stabilizes fail,
         # each at every point s moves.
-        monkeypatch.setattr(cmfield, "displacement_sign", lambda model, phi, g: -1 if g in ("s", "c") else 1)
+        image_and_sign = cmfield._image_and_sign
+        monkeypatch.setattr(
+            cmfield,
+            "_image_and_sign",
+            lambda model, phi, g: (image_and_sign(model, phi, g)[0], -1 if g in ("s", "c") else 1),
+        )
         model = klein_model()
         reports = displacement_sign_invariance(model, regular_family(model))
         failing = {r.phi for r in reports if r.failures}

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -119,7 +120,7 @@ class TestDoublingWeight:
         # once and lists a loss instead of aborting.
         monkeypatch.setattr(weights, "is_block_dominant", lambda w, sig: False)
         monkeypatch.setattr(sweeps, "is_block_dominant", lambda w, sig: False)
-        stats = sweeps.run_dominance_sweep(seed=3, count=5)
+        stats = sweeps.run_dominance_sweep(itertools.islice(sweeps.weight_data(random.Random(3), 8), 5))
         assert stats.instances == 5
         assert len(stats.failures) == 5
         assert all(f.startswith("dominance lost for ") for f in stats.failures)
