@@ -10,6 +10,7 @@ stored doubled, and a half-integer bound w/2 is compared as 2p with w.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cmfield import CMFieldModel, CMType
@@ -273,16 +274,14 @@ class InstanceAnalysis:
     exponents (m_t, m_tbar); only their differences ``diffs`` enter any
     computation, which keeps conjugation of instances total.  The two
     signature counts come from independent dictionaries and are kept
-    apart so that callers can compare them.
+    apart so that callers can compare them.  The Hodge data ``rank_n``,
+    ``rank_1`` and ``tensor`` are built by the public chain on first read.
     """
 
     ap: ArchParams
     exp_pairs: dict[str, tuple[int, int]]
     kappa: int
     diffs: dict[str, int]  # m_t - m_tbar per place
-    rank_n: HodgeData
-    rank_1: HodgeData
-    tensor: HodgeData
     exponents: tuple[int, ...]
     window: CriticalRange
     admissible: tuple[int, ...]  # critical integers above (2n - kappa)/2
@@ -295,6 +294,18 @@ class InstanceAnalysis:
 
     def phi(self) -> CMType:
         return self.ap.phi()
+
+    @functools.cached_property
+    def rank_n(self) -> HodgeData:
+        return hodge_from_arch_params(self.ap)
+
+    @functools.cached_property
+    def rank_1(self) -> HodgeData:
+        return hodge_of_character(self.model, self.exp_pairs, self.kappa)
+
+    @functools.cached_property
+    def tensor(self) -> HodgeData:
+        return tensor_hodge(self.rank_n, self.rank_1)
 
     def conjugated(self, g: str) -> "InstanceAnalysis":
         """Transport the instance by a group element, re-expressed on the same CM type.
@@ -319,29 +330,45 @@ class InstanceAnalysis:
 def analyze_instance(
     ap: ArchParams, exp_pairs: dict[str, tuple[int, int]], kappa: int
 ) -> InstanceAnalysis:
-    """Hodge data, tensor, critical window, admissible points and both signature counts.
+    """Critical window, admissible points and both signature counts, in one integer pass.
 
-    The signature counts are taken before the window: a middle exponent
-    occurs exactly where a signature comparison vanishes, and that is
-    reported as the vanishing comparison at its place.
+    The pass reads the tensor's exponents off the doubled rows, without
+    building Hodge data: with w = n - 1 and d = m_t - m_tbar, the rank-n
+    exponent p = (w - 2A)/2 at t gives p - d there and w - p + d - kappa
+    at the conjugate place, of weight w - kappa.  It raises what the
+    public chain raises, in the same order.  The signature counts are
+    taken before the window: a middle exponent occurs exactly where a
+    signature comparison vanishes, and that is reported as the vanishing
+    comparison at its place.
     """
-    rank_n = hodge_from_arch_params(ap)
-    rank_1 = hodge_of_character(ap.model, exp_pairs, kappa)
-    tensor = tensor_hodge(rank_n, rank_1)
+    if ap.doubled.keys() != exp_pairs.keys():
+        # Places that disagree fail in the public chain, as they always have.
+        tensor_hodge(hodge_from_arch_params(ap), hodge_of_character(ap.model, exp_pairs, kappa))
+    CMType(frozenset(exp_pairs)).validate(ap.model)
     diffs = {t: m_t - m_bar for t, (m_t, m_bar) in exp_pairs.items()}
     counts_arch = signature_from_arch(ap, diffs, kappa)
-    counts_hodge = signature_from_hodge(rank_n, rank_1, ap.phi())
-    exponents = hodge_exponents(tensor)
-    window = critical_range(exponents, tensor.weight)
+    w = ap.n - 1
+    exps: set[int] = set()
+    counts_hodge = {}
+    for t in sorted(ap.doubled):
+        d = diffs[t]
+        count = 0
+        for a in ap.doubled[t]:
+            p = (w - a) // 2
+            exps.add(p - d)
+            exps.add(w - p + d - kappa)
+            # 2p + p' - q' - w with the character's pair (p', q') = (-d, d - kappa)
+            if 2 * p - 2 * d + kappa - w > 0:
+                count += 1
+        counts_hodge[t] = count
+    exponents = tuple(sorted(exps))
+    window = critical_range(exponents, w - kappa)
     threshold = 2 * ap.n - kappa  # m is admissible when 2m exceeds it
     return InstanceAnalysis(
         ap=ap,
         exp_pairs=exp_pairs,
         kappa=kappa,
         diffs=diffs,
-        rank_n=rank_n,
-        rank_1=rank_1,
-        tensor=tensor,
         exponents=exponents,
         window=window,
         admissible=tuple(m for m in window.points() if 2 * m > threshold),

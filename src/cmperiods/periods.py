@@ -215,12 +215,15 @@ class RelationLattice:
     A reducer spans the relations' generators plus the extra generators a
     difference brings.  Each is built once per set of extras and kept on
     the lattice, so a lattice reused across comparisons builds its
-    generator universe, index and :class:`IntegerLattice` once.
+    generator universe, index and :class:`IntegerLattice` once.  The
+    result of each comparison ``(x, y)`` is kept too, so a quotient that
+    recurs on the lattice is reduced once.
     """
 
     level: Level
     relations: tuple[Relation, ...]
     _reducers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _results: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tags(self) -> tuple[str, ...]:
         return tuple(r.tag for r in self.relations)
@@ -392,8 +395,12 @@ def equivalent_mod(
     Unit vectors of every generator trivial at the lattice level are
     adjoined over the working generator universe (the relations'
     generators and those of x / y), so parameterized trivial generators
-    are handled uniformly.
+    are handled uniformly.  A pair already compared on ``lat`` returns
+    the kept result.
     """
+    found = lat._results.get((x, y))
+    if found is not None:
+        return found
     diff = {g: e for g, e in _quotient(x, y).items() if e}
     universe, index, reducer = lat.reducer(frozenset(diff.keys() - lat.generators))
     row = [0] * len(universe)
@@ -403,7 +410,8 @@ def equivalent_mod(
     residual = PeriodMonomial.from_dict(
         {universe[i]: e for i, e in enumerate(residual_row) if e}
     )
-    return EquivalenceResult(equivalent=residual.is_one(), residual=residual)
+    found = lat._results[x, y] = EquivalenceResult(equivalent=residual.is_one(), residual=residual)
+    return found
 
 
 # Assembled sides of the identities in scope.

@@ -173,12 +173,16 @@ def _named(raw: dict, block: str) -> Iterator[tuple[str, str, dict]]:
         yield name, f"{block}.{name}", _shaped(spec, dict, f"{block}.{name}")
 
 
-def _per_place(spec: dict, key: str, model: CMFieldModel, where: str) -> dict:
-    """The object ``spec[key]``, whose keys must be the places of a CM type of the model."""
-    entries, where = _member(spec, key, where), f"{where}.{key}"
+def _embedding_keys(entries: dict, model: CMFieldModel, where: str) -> None:
     for t in entries:
         if t not in model.conj:
             raise ScenarioError(f"{where}: {t!r} is not an embedding of the field model")
+
+
+def _per_place(spec: dict, key: str, model: CMFieldModel, where: str) -> dict:
+    """The object ``spec[key]``, whose keys must be the places of a CM type of the model."""
+    entries, where = _member(spec, key, where), f"{where}.{key}"
+    _embedding_keys(entries, model, where)
     try:
         CMType(frozenset(entries)).validate(model)
     except InvalidCMTypeError as exc:
@@ -262,6 +266,13 @@ def _check_fields(chk: dict, where: str, blocks: dict[str, dict]) -> None:
     if len({tuple(keys) for keys in places.values()}) > 1:
         named = " and ".join(f"{name} {chk[name]!r} on {keys}" for name, keys in places.items())
         raise ScenarioError(f"{where}: {named} must be keyed by the same places")
+    if chk["kind"] == "weights":
+        mu, sig = blocks["weights"][chk["weight"]], blocks["signatures"][chk["signature"]]
+        if mu.n != sig.n:
+            raise ScenarioError(
+                f"{where}: weight {chk['weight']!r} of rank {mu.n} and signature"
+                f" {chk['signature']!r} of rank {sig.n} must have the same rank"
+            )
     for name in _INT_FIELDS.get(chk["kind"], ()):
         if name in chk:
             _int(chk[name], f"{where}: {name}")
@@ -340,10 +351,13 @@ def parse_scenario(path: str) -> Scenario:
             }
             a0, n = _int(spec["a0"], f"{where}.a0"), _int(spec["n"], f"{where}.n")
             weight_params[name] = WeightParam(rows, a0, n)
-        infinity_types = {
-            name: InfinityType({t: _int(v, f"{where}.{t}") for t, v in spec.items()}, model)
-            for name, where, spec in _named(raw, "infinity_types")
-        }
+        infinity_types = {}
+        for name, where, spec in _named(raw, "infinity_types"):
+            _embedding_keys(spec, model, where)
+            for t in model.embeddings:
+                if t not in spec:
+                    raise ScenarioError(f"{where}: embedding {t!r} has no exponent")
+            infinity_types[name] = InfinityType({t: _int(v, f"{where}.{t}") for t, v in spec.items()}, model)
         arch_params = {}
         for name, where, spec in _named(raw, "arch_params"):
             n = _int(spec["n"], f"{where}.n")
@@ -490,7 +504,7 @@ def _run_critical(scn: Scenario, chk: dict) -> Outcome:
     crit = analysis.window
     details = {
         "exponents": list(analysis.exponents),
-        "weight": analysis.tensor.weight,
+        "weight": analysis.ap.n - 1 - analysis.kappa,  # the tensor's weight
         "range": [crit.lo, crit.hi],
         "points": list(crit.points()),
     }

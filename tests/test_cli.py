@@ -289,6 +289,27 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            pytest.param(("signatures", "sig"), {"n": 3, "pairs": {"t1": [1, 2], "t2": [3, 0]}},
+                         "checks[3]: weight 'mu' of rank 2 and signature 'sig' of rank 3 must have the same rank",
+                         id="weights-rank"),
+            pytest.param(("infinity_types", "psi"), {"t1": 1, "t2": -2, "c1": 0, "c2": 3, "zz": 1},
+                         "infinity_types.psi: 'zz' is not an embedding of the field model", id="infinity-zz"),
+            pytest.param(("infinity_types", "psi"), {"t1": 1, "t2": -2, "c1": 0},
+                         "infinity_types.psi: embedding 'c2' has no exponent", id="infinity-without-c2"),
+        ],
+    )
+    def test_inconsistent_entry_exits_two(self, tmp_path, capsys, path, value, message):
+        # Entries of the right shape that disagree with the model, or with the
+        # entry a check pairs them with, are input errors naming the entry.
+        payload = mutated(copy.deepcopy(DEMO_DOC), [(path, value)])
+        assert main(["check", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.lists(

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from cmperiods.cmfield import cyclic_model
+from cmperiods.cmfield import cyclic_model, dihedral_model, klein_model
 from cmperiods.errors import (
+    CMPeriodsError,
     DegenerateInputError,
     NotCriticalError,
     PreconditionError,
@@ -26,7 +28,7 @@ from cmperiods.hodge import (
     tensor_hodge,
     weight_from_arch_params,
 )
-from cmperiods.sweeps import random_instance
+from cmperiods.sweeps import DEFAULT_BOUNDS, random_instance, seeded_instances
 from cmperiods.weights import Signature, WeightParam
 
 ONE_PAIR = cyclic_model(1)
@@ -171,7 +173,7 @@ class TestCriticalRange:
             critical_range([1], 2)
 
     def test_one_sided_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="exponents lie on one side of the middle"):
             critical_range([5, 7], 3)
 
     def test_never_empty(self):
@@ -367,6 +369,87 @@ class TestInstanceAnalysis:
         ap = arch(ONE_PAIR, 1, t1=(-2,))
         with pytest.raises(DegenerateInputError, match="t1"):
             analyze_instance(ap, {"t1": (1, -1)}, 0)
+
+
+def chain(ap, exp_pairs, kappa):
+    """What ``analyze_instance`` computes, through the public Hodge chain in its order."""
+    rank_n = hodge_from_arch_params(ap)
+    rank_1 = hodge_of_character(ap.model, exp_pairs, kappa)
+    tensor = tensor_hodge(rank_n, rank_1)
+    diffs = {t: m_t - m_bar for t, (m_t, m_bar) in exp_pairs.items()}
+    counts_arch = signature_from_arch(ap, diffs, kappa)
+    counts_hodge = signature_from_hodge(rank_n, rank_1, ap.phi())
+    exponents = hodge_exponents(tensor)
+    window = critical_range(exponents, tensor.weight)
+    threshold = 2 * ap.n - kappa
+    return {
+        "exponents": exponents,
+        "window": window,
+        "admissible": tuple(m for m in window.points() if 2 * m > threshold),
+        "counts_hodge": counts_hodge,
+        "counts_arch": counts_arch,
+    }
+
+
+def one_pass(ap, exp_pairs, kappa):
+    a = analyze_instance(ap, exp_pairs, kappa)
+    return {key: getattr(a, key) for key in ("exponents", "window", "admissible", "counts_hodge", "counts_arch")}
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except (CMPeriodsError, LookupError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{fn.__name__} raised nothing")
+
+
+BUILTIN_MODELS = [cyclic_model(1), cyclic_model(2), cyclic_model(3), klein_model(), dihedral_model(2), dihedral_model(3)]
+
+
+class TestOnePassMatchesTheChain:
+    @pytest.mark.parametrize(
+        "model", BUILTIN_MODELS, ids=["cyclic:1", "cyclic:2", "cyclic:3", "klein", "dihedral:2", "dihedral:3"]
+    )
+    def test_seeded_instances_and_their_conjugates(self, model):
+        # Seeded cyclic draws of the model's degree, re-analysed on the model
+        # (the builtin models of one degree share their embedding names).
+        draws = seeded_instances(random.Random(16), 2000, DEFAULT_BOUNDS)
+        same_degree = (inst for inst in draws if inst.model.degree_plus == model.degree_plus)
+        checked = 0
+        for inst in islice(same_degree, 25):
+            base = analyze_instance(ArchParams(inst.ap.doubled, inst.ap.n, model), inst.exp_pairs, inst.kappa)
+            for a in [base, *(base.conjugated(g) for g in sorted(model.group))]:
+                assert one_pass(a.ap, a.exp_pairs, a.kappa) == chain(a.ap, a.exp_pairs, a.kappa)
+                # The tensor's exponents pair up about half its weight, so the
+                # middle-exponent and one-sided branches of the window cannot be
+                # reached from an instance whose comparisons do not vanish.
+                weight = a.ap.n - 1 - a.kappa
+                assert {weight - e for e in a.exponents} == set(a.exponents)
+                checked += 1
+        assert checked == 25 * (1 + len(model.group))
+
+    @pytest.mark.parametrize(
+        "model, rows, exp_pairs, kappa",
+        [
+            # the character's places hold a conjugate pair
+            pytest.param(ONE_PAIR, {"t1": (2,), "c1": (4,)}, {"t1": (0, 0), "c1": (0, 0)}, 0, id="character-cm-type"),
+            # the character sits on another CM type than the parameters
+            pytest.param(cyclic_model(2), {"t1": (2,), "t2": (4,)}, {"t1": (0, 0), "c2": (0, 0)}, 0, id="other-places"),
+            # the parameters miss a conjugate pair the character covers
+            pytest.param(cyclic_model(2), {"t1": (2,)}, {"t1": (0, 0), "t2": (0, 0)}, 0, id="arch-cm-type"),
+            # 2*diff - kappa + 2A = 2*2 - 0 - 4 = 0 at t1
+            pytest.param(ONE_PAIR, {"t1": (-4,)}, {"t1": (1, -1)}, 0, id="vanishing"),
+        ],
+    )
+    def test_degenerate_inputs_raise_alike(self, model, rows, exp_pairs, kappa):
+        ap = ArchParams(rows, 1, model)
+        assert raised(one_pass, ap, exp_pairs, kappa) == raised(chain, ap, exp_pairs, kappa)
+
+    def test_hodge_data_built_on_first_read(self):
+        a = random_instance(random.Random(17))
+        assert "tensor" not in vars(a)
+        assert a.tensor is a.tensor
 
 
 def fraction_chain(inst):

@@ -2,12 +2,14 @@
 import copy
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmperiods import periods
+from cmperiods import hodge, periods
+from cmperiods.cli import main
 from cmperiods.cmfield import CMFieldModel, CMType, cyclic_model
 from cmperiods.errors import NotCriticalError
 from cmperiods.hodge import ArchParams, analyze_instance
@@ -51,7 +53,7 @@ from cmperiods.periods import (
     standard_vs_refined,
     trivial_at,
 )
-from cmperiods.sweeps import SweepBounds, random_instance
+from cmperiods.sweeps import DEFAULT_BOUNDS, SweepBounds, random_instance, run_compare_sweep, seeded_instances
 
 ONE_PAIR = cyclic_model(1)
 PHI1 = CMType(frozenset({"t1"}))
@@ -509,3 +511,63 @@ class TestComparatorLatticeCache:
             for tate in (True, False):
                 for k, inst in enumerate(instances):
                     assert compare_automorphic_motivic(inst, tate=tate) == fresh[k, tate], (k, tate)
+
+
+def spy_on_equivalent_mod(monkeypatch):
+    """Record each (lattice, x, y) that ``equivalent_mod`` is called with, in call order."""
+    calls = []
+    real = periods.equivalent_mod
+
+    def spy(x, y, lat):
+        calls.append((lat, x, y))
+        return real(x, y, lat)
+
+    monkeypatch.setattr(periods, "equivalent_mod", spy)
+    return calls
+
+
+class TestKeptResults:
+    @pytest.mark.parametrize("level", [Level.Q, Level.FGAL], ids=["q", "fgal"])
+    @pytest.mark.parametrize("tate", [True, False], ids=["tate", "no-tate"])
+    def test_kept_results_are_fresh_reductions(self, monkeypatch, level, tate):
+        calls = spy_on_equivalent_mod(monkeypatch)
+        run_compare_sweep(seeded_instances(random.Random(19), 300, DEFAULT_BOUNDS), level, tate)
+        distinct = {(id(lat), x, y) for lat, x, y in calls}
+        assert len(distinct) < len(calls)  # the sweep repeats differences
+        lattices = {id(lat): lat for lat, _, _ in calls}
+        for lat in lattices.values():
+            fresh = RelationLattice(level=lat.level, relations=lat.relations)
+            for (x, y), kept in lat._results.items():
+                assert equivalent_mod(x, y, fresh) == kept
+                assert equivalent_mod(x, y, lat) is kept
+
+
+DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
+
+
+def test_demo_sweep_builds_no_hodge_data_and_reduces_each_difference_once(monkeypatch, capsys):
+    # The sweep reads the one-pass analysis only, and a difference reduced
+    # on a lattice is never reduced there again.
+    periods._comparator_lattice.cache_clear()
+    built = []
+    post_init = hodge.HodgeData.__post_init__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    reductions = []
+    reduce = IntegerLattice.reduce
+
+    def counted_reduce(self, vec):
+        reductions.append(vec)
+        return reduce(self, vec)
+
+    monkeypatch.setattr(hodge.HodgeData, "__post_init__", counted_post_init)
+    monkeypatch.setattr(IntegerLattice, "reduce", counted_reduce)
+    calls = spy_on_equivalent_mod(monkeypatch)
+    assert main(["sweep", str(DEMO), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert built == []
+    distinct = {(id(lat), x, y) for lat, x, y in calls}
+    assert 0 < len(reductions) == len(distinct) < len(calls)
