@@ -139,6 +139,9 @@ class CMType:
     members: frozenset[str]
 
     def validate(self, model: CMFieldModel) -> None:
+        unknown = sorted(self.members - model.conj.keys())
+        if unknown:
+            raise InvalidCMTypeError(f"{unknown[0]!r} is not an embedding of the model")
         conj_members = {model.conj[t] for t in self.members}
         if self.members & conj_members:
             raise InvalidCMTypeError("CM type contains a conjugate pair")

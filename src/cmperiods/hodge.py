@@ -17,6 +17,7 @@ from .cmfield import CMFieldModel, CMType
 from .errors import (
     DegenerateInputError,
     DominanceError,
+    InvalidCMTypeError,
     NotCriticalError,
     PreconditionError,
 )
@@ -42,6 +43,7 @@ class ArchParams:
 
     Stored doubled: ``doubled[t]`` holds the integers 2*A_{t,i}, which share
     the parity of n-1, so the induced Hodge exponents below are integers.
+    The places are a CM type of ``model``.
     """
 
     doubled: dict[str, tuple[int, ...]]
@@ -53,6 +55,10 @@ class ArchParams:
             defect = arch_row_defect(row, self.n)
             if defect:
                 raise PreconditionError(f"doubled parameters at {t!r} {defect}")
+        try:
+            self.phi().validate(self.model)
+        except InvalidCMTypeError as exc:
+            raise PreconditionError(f"ArchParams places {sorted(self.doubled)} are not a CM type: {exc}") from None
 
     def phi(self) -> CMType:
         return CMType(frozenset(self.doubled))
@@ -342,9 +348,10 @@ def analyze_instance(
     comparison at its place.
     """
     if ap.doubled.keys() != exp_pairs.keys():
-        # Places that disagree fail in the public chain, as they always have.
+        # Places that disagree fail in the public chain, as they always have;
+        # it validates the character's places, which otherwise are the
+        # parameters' places, validated when ``ap`` was built.
         tensor_hodge(hodge_from_arch_params(ap), hodge_of_character(ap.model, exp_pairs, kappa))
-    CMType(frozenset(exp_pairs)).validate(ap.model)
     diffs = {t: m_t - m_bar for t, (m_t, m_bar) in exp_pairs.items()}
     counts_arch = signature_from_arch(ap, diffs, kappa)
     w = ap.n - 1

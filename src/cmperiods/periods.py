@@ -217,13 +217,16 @@ class RelationLattice:
     the lattice, so a lattice reused across comparisons builds its
     generator universe, index and :class:`IntegerLattice` once.  The
     result of each comparison ``(x, y)`` is kept too, so a quotient that
-    recurs on the lattice is reduced once.
+    recurs on the lattice is reduced once, and so is each comparator
+    point, keyed by ``(n, signature, m)``, so a decided point is not
+    assembled again.
     """
 
     level: Level
     relations: tuple[Relation, ...]
     _reducers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _results: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tags(self) -> tuple[str, ...]:
         return tuple(r.tag for r in self.relations)
@@ -623,6 +626,11 @@ def compare_automorphic_motivic(
     by exactly n*d half-units; that derived shift is checked and reported
     explicitly, never folded away.  The verdict is equivalence of
     everything else modulo the declared relations.
+
+    Each point is kept on the lattice keyed by ``(n, signature, m)``.  The
+    lattice's key fixes the level, the dictionary and the conjugation
+    pairs, hence the CM type, its conjugates and ``d_plus``; both sides
+    read nothing else but ``n``, the signature counts and ``m``.
     """
     n = analysis.ap.n
     model = analysis.model
@@ -640,14 +648,15 @@ def compare_automorphic_motivic(
     expected_shift = -n * d_plus  # half-unit offset between the two evaluation points
     comparisons = []
     for m in analysis.admissible:
-        auto = rankin_lvalue_period(model, phi, n, m, analysis.counts_arch)
-        mot = deligne_period_prediction(analysis, m)
-        diff = _quotient(auto, mot)
-        observed = diff.get(TWO_PI_I_HALF, 0)
-        diff[TWO_PI_I_HALF] = observed - expected_shift
-        result = equivalent_mod(PeriodMonomial.from_dict(diff), ONE, lat)
-        comparisons.append(
-            PointComparison(
+        point = lat._points.get((n, sig_items, m))
+        if point is None:
+            auto = rankin_lvalue_period(model, phi, n, m, analysis.counts_arch)
+            mot = deligne_period_prediction(analysis, m)
+            diff = _quotient(auto, mot)
+            observed = diff.get(TWO_PI_I_HALF, 0)
+            diff[TWO_PI_I_HALF] = observed - expected_shift
+            result = equivalent_mod(PeriodMonomial.from_dict(diff), ONE, lat)
+            point = lat._points[n, sig_items, m] = PointComparison(
                 m=m,
                 equivalent=result.equivalent,
                 residual=result.residual,
@@ -655,7 +664,7 @@ def compare_automorphic_motivic(
                 pi_half_observed_shift=observed,
                 printed_pi_exponent_integral=((2 * m - n) * n * d_plus) % 2 == 0,
             )
-        )
+        comparisons.append(point)
     return CompareReport(
         points=tuple(comparisons),
         all_equivalent=all(c.equivalent for c in comparisons),

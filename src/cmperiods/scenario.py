@@ -405,6 +405,7 @@ def parse_scenario(path: str) -> Scenario:
             "signatures": signatures,
         }
         checks = []
+        first_of: dict[str, int] = {}  # each check id, with the index of the check it names
         for idx, chk in enumerate(_shaped(raw.get("checks", []), list, "checks")):
             kind = _shaped(chk, dict, f"checks[{idx}]").get("kind")
             if kind not in CHECK_KINDS:
@@ -412,9 +413,13 @@ def parse_scenario(path: str) -> Scenario:
             if kind == "basechange":
                 _check_basechange_fields(chk, f"checks[{idx}]")
             _check_fields(chk, f"checks[{idx}]", blocks)
-            entry = dict(chk)
-            entry.setdefault("id", f"{kind}-{idx}")
-            checks.append(entry)
+            check_id = chk.get("id", f"{kind}-{idx}")
+            if not isinstance(check_id, str) or not check_id:
+                raise ScenarioError(f"checks[{idx}].id must be a non-empty string, got {check_id!r}")
+            if check_id in first_of:
+                raise ScenarioError(f"checks[{idx}].id {check_id!r} repeats checks[{first_of[check_id]}].id")
+            first_of[check_id] = idx
+            checks.append(dict(chk, id=check_id))
     except ScenarioError:
         raise
     except CMPeriodsError as exc:

@@ -310,6 +310,31 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "mutations, message",
+        [
+            pytest.param([(("checks", 2, "id"), 5)], "checks[2].id must be a non-empty string, got 5", id="int"),
+            pytest.param([(("checks", 2, "id"), [1])], "checks[2].id must be a non-empty string, got [1]", id="list"),
+            pytest.param([(("checks", 2, "id"), "")], "checks[2].id must be a non-empty string, got ''", id="empty"),
+            pytest.param([(("checks", 2, "id"), None)], "checks[2].id must be a non-empty string, got None",
+                         id="null"),
+            pytest.param([(("checks", 2, "id"), "critical-window")],
+                         "checks[2].id 'critical-window' repeats checks[1].id", id="copied"),
+            # A check without an id is named kind-index, which an explicit id may repeat.
+            pytest.param([(("checks", 1, "id"), DROP), (("checks", 3, "id"), "critical-1")],
+                         "checks[3].id 'critical-1' repeats checks[1].id", id="repeats-default"),
+            pytest.param([(("checks", 0, "id"), "critical-1"), (("checks", 1, "id"), DROP)],
+                         "checks[1].id 'critical-1' repeats checks[0].id", id="default-repeats"),
+        ],
+    )
+    def test_check_ids_exit_two(self, tmp_path, capsys, mutations, message):
+        # Report readers tell checks apart by id alone.
+        payload = mutated(copy.deepcopy(DEMO_DOC), mutations)
+        assert main(["check", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.lists(
@@ -586,6 +611,22 @@ class TestMainEntry:
             encoding="utf-8"
         )
         assert capsys.readouterr().out == recorded
+
+    @pytest.mark.parametrize(
+        "options, rc, recorded",
+        [
+            ([], 0, "demo_sweep_count1000_seed41.json"),
+            (["--level", "q", "--tate", "off"], 1, "demo_sweep_count1000_seed41_q_tate_off.json"),
+        ],
+        ids=["defaults", "q-tate-off"],
+    )
+    def test_demo_sweep_at_count_1000_is_recorded(self, tmp_path, capsys, options, rc, recorded):
+        # The demo at 1,000 instances per sweep meets about five times the
+        # comparator keys of the seed-7 gates.
+        doc = copy.deepcopy(DEMO_DOC)
+        doc["options"]["sweep"]["count"] = 1000
+        assert main(["sweep", write(tmp_path, doc), "--seed", "41", *options]) == rc
+        assert capsys.readouterr().out == (Path(__file__).parent / "data" / recorded).read_text(encoding="utf-8")
 
     def test_basechange_report_is_recorded(self, capsys):
         # Two base-change sweeps at m_max 3: odd rank without the witness,

@@ -85,6 +85,31 @@ class TestParameterDictionary:
         with pytest.raises(PreconditionError, match="doubled parameters at 't1' must"):
             ArchParams({"t1": row}, 2, ONE_PAIR)
 
+    @pytest.mark.parametrize(
+        "model, rows, message",
+        [
+            pytest.param(
+                cyclic_model(2), {"t1": (2,)},
+                "ArchParams places ['t1'] are not a CM type: CM type does not cover every conjugate pair",
+                id="arch-cm-type",
+            ),
+            pytest.param(
+                ONE_PAIR, {"t1": (2,), "c1": (4,)},
+                "ArchParams places ['c1', 't1'] are not a CM type: CM type contains a conjugate pair",
+                id="conjugate-pair",
+            ),
+            pytest.param(
+                ONE_PAIR, {"t1": (2,), "zz": (4,)},
+                "ArchParams places ['t1', 'zz'] are not a CM type: 'zz' is not an embedding of the model",
+                id="unknown-place",
+            ),
+        ],
+    )
+    def test_places_must_be_a_cm_type(self, model, rows, message):
+        with pytest.raises(PreconditionError) as exc:
+            ArchParams(rows, 1, model)
+        assert str(exc.value) == message
+
 
 class TestHodgeConstruction:
     def test_rank_two_pairs(self):
@@ -433,11 +458,9 @@ class TestOnePassMatchesTheChain:
         "model, rows, exp_pairs, kappa",
         [
             # the character's places hold a conjugate pair
-            pytest.param(ONE_PAIR, {"t1": (2,), "c1": (4,)}, {"t1": (0, 0), "c1": (0, 0)}, 0, id="character-cm-type"),
+            pytest.param(ONE_PAIR, {"t1": (2,)}, {"t1": (0, 0), "c1": (0, 0)}, 0, id="character-cm-type"),
             # the character sits on another CM type than the parameters
             pytest.param(cyclic_model(2), {"t1": (2,), "t2": (4,)}, {"t1": (0, 0), "c2": (0, 0)}, 0, id="other-places"),
-            # the parameters miss a conjugate pair the character covers
-            pytest.param(cyclic_model(2), {"t1": (2,)}, {"t1": (0, 0), "t2": (0, 0)}, 0, id="arch-cm-type"),
             # 2*diff - kappa + 2A = 2*2 - 0 - 4 = 0 at t1
             pytest.param(ONE_PAIR, {"t1": (-4,)}, {"t1": (1, -1)}, 0, id="vanishing"),
         ],

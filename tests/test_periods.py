@@ -2,15 +2,16 @@
 import copy
 import pickle
 import random
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmperiods import hodge, periods
+from cmperiods import hodge, periods, sweeps
 from cmperiods.cli import main
-from cmperiods.cmfield import CMFieldModel, CMType, cyclic_model
+from cmperiods.cmfield import CMFieldModel, CMType, cyclic_model, dihedral_model, klein_model
 from cmperiods.errors import NotCriticalError
 from cmperiods.hodge import ArchParams, analyze_instance
 from cmperiods.lattice import IntegerLattice
@@ -542,12 +543,73 @@ class TestKeptResults:
                 assert equivalent_mod(x, y, lat) is kept
 
 
+BUILTIN_MODELS = [cyclic_model(1), cyclic_model(2), cyclic_model(3), klein_model(), dihedral_model(2), dihedral_model(3)]
+
+
+def assembled_point(inst, m, lat):
+    """The comparison at m, both sides assembled and reduced on a fresh lattice
+    with the relations of ``lat``."""
+    n, d_plus = inst.ap.n, inst.model.degree_plus
+    quotient = mono_mul(
+        rankin_lvalue_period(inst.model, inst.phi(), n, m, inst.counts_arch),
+        mono_inv(deligne_period_prediction(inst, m)),
+    )
+    result = equivalent_mod(
+        mono_mul(quotient, mono((TWO_PI_I_HALF, n * d_plus))),
+        ONE,
+        RelationLattice(level=lat.level, relations=lat.relations),
+    )
+    return periods.PointComparison(
+        m=m,
+        equivalent=result.equivalent,
+        residual=result.residual,
+        pi_half_expected_shift=-n * d_plus,
+        pi_half_observed_shift=quotient.exponent(TWO_PI_I_HALF),
+        printed_pi_exponent_integral=((2 * m - n) * n * d_plus) % 2 == 0,
+    )
+
+
+class TestKeptPoints:
+    def test_kept_points_are_fresh_comparisons(self, monkeypatch):
+        # Seeded draws re-analysed on every builtin model of their degree, with
+        # every conjugate; all four settings run in one test, so a point kept
+        # under one setting and returned under another is caught.
+        draws = list(seeded_instances(random.Random(23), 400, DEFAULT_BOUNDS))
+        instances = []
+        for model in BUILTIN_MODELS:
+            same_degree = (inst for inst in draws if inst.model.degree_plus == model.degree_plus)
+            for inst in islice(same_degree, 8):
+                base = analyze_instance(ArchParams(inst.ap.doubled, inst.ap.n, model), inst.exp_pairs, inst.kappa)
+                instances += [base, *(base.conjugated(g) for g in sorted(model.group))]
+        points = sum(len(inst.admissible) for inst in instances)
+        real = periods._comparator_lattice
+        for level in (Level.Q, Level.FGAL):
+            for tate in (True, False):
+                real.cache_clear()
+                used = []
+                monkeypatch.setattr(periods, "_comparator_lattice", lambda *key: used.append(real(*key)) or used[-1])
+                run_compare_sweep(instances, level, tate)
+                assert len(used) == len(instances)
+                seen = set()
+                for inst, lat in zip(instances, used):
+                    monkeypatch.setattr(periods, "_comparator_lattice", lambda *key, lat=lat: lat)
+                    kept = {id(p) for p in lat._points.values()}
+                    for point in compare_automorphic_motivic(inst, level=level, tate=tate).points:
+                        assert id(point) in kept  # a repeated key returns the kept object
+                        assert point == assembled_point(inst, point.m, lat), (level, tate)
+                        seen.add(id(point))
+                lattices = {id(lat): lat for lat in used}.values()
+                assert seen == {id(p) for lat in lattices for p in lat._points.values()}
+                assert 0 < len(seen) < points  # the sweep repeats keys
+
+
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 
 
 def test_demo_sweep_builds_no_hodge_data_and_reduces_each_difference_once(monkeypatch, capsys):
-    # The sweep reads the one-pass analysis only, and a difference reduced
-    # on a lattice is never reduced there again.
+    # The sweep reads the one-pass analysis only, a point decided on a
+    # lattice is never assembled there again, and a difference reduced on a
+    # lattice is never reduced there again.
     periods._comparator_lattice.cache_clear()
     built = []
     post_init = hodge.HodgeData.__post_init__
@@ -563,11 +625,37 @@ def test_demo_sweep_builds_no_hodge_data_and_reduces_each_difference_once(monkey
         reductions.append(vec)
         return reduce(self, vec)
 
+    assembled = []
+    rankin = periods.rankin_lvalue_period
+
+    def counted_rankin(*args):
+        assembled.append(args)
+        return rankin(*args)
+
+    lattices = []
+    lattice = periods._comparator_lattice
+
+    def recorded_lattice(*key):
+        lattices.append(lattice(*key))
+        return lattices[-1]
+
+    points = set()
+    compare = sweeps.compare_automorphic_motivic
+
+    def recorded_compare(analysis, **options):
+        report = compare(analysis, **options)
+        points.update((id(lattices[-1]), analysis.ap.n, report.signature, p.m) for p in report.points)
+        return report
+
     monkeypatch.setattr(hodge.HodgeData, "__post_init__", counted_post_init)
     monkeypatch.setattr(IntegerLattice, "reduce", counted_reduce)
+    monkeypatch.setattr(periods, "rankin_lvalue_period", counted_rankin)
+    monkeypatch.setattr(periods, "_comparator_lattice", recorded_lattice)
+    monkeypatch.setattr(sweeps, "compare_automorphic_motivic", recorded_compare)
     calls = spy_on_equivalent_mod(monkeypatch)
     assert main(["sweep", str(DEMO), "--seed", "7"]) == 0
     capsys.readouterr()
     assert built == []
+    assert 0 < len(assembled) == len(points)
     distinct = {(id(lat), x, y) for lat, x, y in calls}
     assert 0 < len(reductions) == len(distinct) < len(calls)
