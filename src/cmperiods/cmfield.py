@@ -253,31 +253,30 @@ def displacement_sign_invariance(
     return tuple(reports)
 
 
-def extend_signature(
-    model: CMFieldModel, sig: dict[str, tuple[int, int]]
-) -> dict[str, tuple[int, int]]:
-    """Extend (r, s) data from a CM type to all embeddings by swapping at conjugates."""
-    full = dict(sig)
-    for t, (r, s) in sig.items():
-        full[model.conj[t]] = (s, r)
-    if set(full) != set(model.embeddings):
-        raise PreconditionError("signature resolves to a partial map on the embeddings")
-    return full
+def pull_back(model: CMFieldModel, data: dict, g: str, dual) -> dict:
+    """Pull per-place data back along g, on the same CM type.
+
+    ``data`` is keyed by a CM type of ``model``, which the caller has
+    validated.  The value at t is the value at g(t); where g(t) leaves the
+    CM type, it is ``dual`` of the value at conj(g(t)).
+    """
+    perm = model.element(g)
+    return {
+        t: data[perm[t]] if perm[t] in data else dual(data[model.conj[perm[t]]])
+        for t in data
+    }
 
 
 def conjugate_signature(
     model: CMFieldModel, sig: dict[str, tuple[int, int]], g: str
 ) -> dict[str, tuple[int, int]]:
-    """Pull back a signature along g: result[t] = sig_extended[g(t)].
+    """Pull back a signature along g; (r, s) becomes (s, r) where a place crosses.
 
     ``sig`` is given on a CM type (its key set); the result is returned on
     the same CM type.
     """
-    phi = CMType(frozenset(sig))
-    phi.validate(model)
-    full = extend_signature(model, sig)
-    perm = model.element(g)
-    return {t: full[perm[t]] for t in sig}
+    CMType(frozenset(sig)).validate(model)
+    return pull_back(model, sig, g, lambda pair: pair[::-1])
 
 
 # Ready-made model factories used by tests, scripts, and scenario files.

@@ -10,10 +10,9 @@ stored doubled, and a half-integer bound w/2 is compared as 2p with w.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .cmfield import CMFieldModel, CMType
+from .cmfield import CMFieldModel, CMType, pull_back
 from .errors import (
     DegenerateInputError,
     DominanceError,
@@ -21,7 +20,7 @@ from .errors import (
     NotCriticalError,
     PreconditionError,
 )
-from .weights import Signature, WeightParam, is_dominant
+from .weights import Signature, WeightParam, dual_row, is_dominant
 
 
 def arch_row_defect(row: tuple[int, ...], n: int) -> str | None:
@@ -92,19 +91,9 @@ def weight_from_arch_params(ap: ArchParams) -> WeightParam:
     return WeightParam(entries, 0, n)
 
 
-def extend_arch_params(ap: ArchParams) -> dict[str, tuple[int, ...]]:
-    """Extend the doubled rows to all embeddings: the conjugate row is the reversed negation."""
-    full = dict(ap.doubled)
-    for t, row in ap.doubled.items():
-        full[ap.model.conj[t]] = tuple(-a for a in reversed(row))
-    return full
-
-
 def conjugate_arch_params(ap: ArchParams, g: str) -> ArchParams:
-    """Pull back along a group element, restricted to the original CM type."""
-    full = extend_arch_params(ap)
-    perm = ap.model.element(g)
-    return ArchParams({t: full[perm[t]] for t in ap.doubled}, ap.n, ap.model)
+    """Pull back along a group element; a row crossing to the conjugate half is reversed and negated."""
+    return ArchParams(pull_back(ap.model, ap.doubled, g, dual_row), ap.n, ap.model)
 
 
 @dataclass(frozen=True, eq=True)
@@ -280,8 +269,7 @@ class InstanceAnalysis:
     exponents (m_t, m_tbar); only their differences ``diffs`` enter any
     computation, which keeps conjugation of instances total.  The two
     signature counts come from independent dictionaries and are kept
-    apart so that callers can compare them.  The Hodge data ``rank_n``,
-    ``rank_1`` and ``tensor`` are built by the public chain on first read.
+    apart so that callers can compare them.
     """
 
     ap: ArchParams
@@ -301,18 +289,6 @@ class InstanceAnalysis:
     def phi(self) -> CMType:
         return self.ap.phi()
 
-    @functools.cached_property
-    def rank_n(self) -> HodgeData:
-        return hodge_from_arch_params(self.ap)
-
-    @functools.cached_property
-    def rank_1(self) -> HodgeData:
-        return hodge_of_character(self.model, self.exp_pairs, self.kappa)
-
-    @functools.cached_property
-    def tensor(self) -> HodgeData:
-        return tensor_hodge(self.rank_n, self.rank_1)
-
     def conjugated(self, g: str) -> "InstanceAnalysis":
         """Transport the instance by a group element, re-expressed on the same CM type.
 
@@ -320,16 +296,8 @@ class InstanceAnalysis:
         difference and absorb the twist exponent; the twist exponent
         itself is invariant.
         """
-        model = self.model
-        perm = model.element(g)
-        pairs: dict[str, tuple[int, int]] = {}
-        for t in self.exp_pairs:
-            gt = perm[t]
-            if gt in self.diffs:
-                d = self.diffs[gt]
-            else:
-                d = -self.diffs[model.conj[gt]] + self.kappa
-            pairs[t] = (d, 0)
+        diffs = pull_back(self.model, self.diffs, g, lambda d: self.kappa - d)
+        pairs = {t: (d, 0) for t, d in diffs.items()}
         return analyze_instance(conjugate_arch_params(self.ap, g), pairs, self.kappa)
 
 
@@ -342,16 +310,20 @@ def analyze_instance(
     building Hodge data: with w = n - 1 and d = m_t - m_tbar, the rank-n
     exponent p = (w - 2A)/2 at t gives p - d there and w - p + d - kappa
     at the conjugate place, of weight w - kappa.  It raises what the
-    public chain raises, in the same order.  The signature counts are
+    public chain raises, in the same order, and a ``PreconditionError``
+    where the character sits on other places than the parameters (where
+    the chain fails on a missing place).  The signature counts are
     taken before the window: a middle exponent occurs exactly where a
     signature comparison vanishes, and that is reported as the vanishing
     comparison at its place.
     """
     if ap.doubled.keys() != exp_pairs.keys():
-        # Places that disagree fail in the public chain, as they always have;
-        # it validates the character's places, which otherwise are the
-        # parameters' places, validated when ``ap`` was built.
-        tensor_hodge(hodge_from_arch_params(ap), hodge_of_character(ap.model, exp_pairs, kappa))
+        # The parameters' places were validated when ``ap`` was built; the
+        # character's are validated as the public chain validates them.
+        CMType(frozenset(exp_pairs)).validate(ap.model)
+        raise PreconditionError(
+            f"character places {sorted(exp_pairs)} are not the parameters' places {sorted(ap.doubled)}"
+        )
     diffs = {t: m_t - m_bar for t, (m_t, m_bar) in exp_pairs.items()}
     counts_arch = signature_from_arch(ap, diffs, kappa)
     w = ap.n - 1

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cmfield import CMFieldModel, conjugate_signature
-from .errors import DominanceError, PreconditionError
+from .cmfield import CMFieldModel, CMType, conjugate_signature, pull_back
+from .errors import DominanceError, InvalidCMTypeError, PreconditionError
 from .hecke import conjugate_infinity_type
 
 __all__ = [
@@ -22,13 +22,13 @@ __all__ = [
     "is_block_dominant",
     "doubling_weight",
     "doubling_equivariance_failures",
+    "dual_row",
     "dual_weight",
     "sharp_pair",
     "det_twist",
     "similitude_twist",
     "sharp_dual_weight",
     "sharp_dual_composite",
-    "extend_weight",
     "conjugate_weight",
 ]
 
@@ -116,13 +116,14 @@ def doubling_weight(mu: WeightParam, psi, sig: Signature) -> WeightParam:
     return WeightParam(entries, mu.a0 - mu.n * total_bar, mu.n)
 
 
+def dual_row(row: tuple[int, ...]) -> tuple[int, ...]:
+    """The reversed negation of an entry list."""
+    return tuple(-a for a in reversed(row))
+
+
 def dual_weight(w: WeightParam) -> WeightParam:
     """Reverse and negate each entry list; negate the scalar."""
-    return WeightParam(
-        {t: tuple(-a for a in reversed(row)) for t, row in w.entries.items()},
-        -w.a0,
-        w.n,
-    )
+    return WeightParam({t: dual_row(row) for t, row in w.entries.items()}, -w.a0, w.n)
 
 
 def sharp_pair(w: WeightParam, w_minus: WeightParam) -> WeightParam:
@@ -167,38 +168,24 @@ def sharp_dual_composite(w: WeightParam, kappa: int) -> WeightParam:
     return similitude_twist(sharp_pair(w, det_twist(dual_weight(w), -kappa)), kappa)
 
 
-def extend_weight(w: WeightParam, model: CMFieldModel) -> dict[str, tuple[int, ...]]:
-    """Extend entry lists from the CM type of ``w`` to every embedding.
-
-    The conjugate row is the reversed negation, the same duality used by
-    :func:`dual_weight`; this is the extension under which conjugation
-    interacts exactly with the doubling parameter.
-    """
-    full = dict(w.entries)
-    for t, row in w.entries.items():
-        full[model.conj[t]] = tuple(-a for a in reversed(row))
-    if set(full) != set(model.embeddings):
-        raise PreconditionError("weight is not indexed by a CM type of the model")
-    return full
-
-
 def conjugate_weight(w: WeightParam, g: str, model: CMFieldModel) -> WeightParam:
-    """Pull the weight back along g and restrict to the original CM type.
+    """Pull the weight back along g, on its own CM type.
 
-    The row at t becomes the extended row at g(t).  The scalar absorbs the
-    entry sums of the rows that cross to the conjugate half, which is
-    exactly the correction that makes conjugation commute with
-    :func:`doubling_weight`.
+    The row at t becomes the row at g(t), or the reversed negation of the
+    row at conj(g(t)) where g(t) crosses to the conjugate half; that is the
+    duality of :func:`dual_weight`.  The scalar absorbs the entry sums of
+    the crossed rows, which is exactly the correction that makes
+    conjugation commute with :func:`doubling_weight`.
     """
-    full = extend_weight(w, model)
+    try:
+        CMType(frozenset(w.entries)).validate(model)
+    except InvalidCMTypeError as exc:
+        raise PreconditionError(f"weight places {sorted(w.entries)} are not a CM type: {exc}") from None
     perm = model.element(g)
-    phi_members = set(w.entries)
-    entries = {t: full[perm[t]] for t in w.entries}
-    a0 = w.a0
-    for t in w.entries:
-        if perm[t] not in phi_members:
-            a0 += sum(w.entries[model.conj[perm[t]]])
-    return WeightParam(entries, a0, w.n)
+    crossed = [model.conj[perm[t]] for t in w.entries if perm[t] not in w.entries]
+    return WeightParam(
+        pull_back(model, w.entries, g, dual_row), w.a0 + sum(sum(w.entries[t]) for t in crossed), w.n
+    )
 
 
 def doubling_equivariance_failures(mu: WeightParam, psi, sig: Signature, lam: WeightParam) -> list[str]:

@@ -21,7 +21,6 @@ from cmperiods.errors import (
     IllPosedModelError,
     InvalidCMTypeError,
     InvalidModelError,
-    PreconditionError,
     UnreachablePointError,
 )
 
@@ -343,5 +342,6 @@ class TestConjugateSignature:
                 assert conjugate_signature(model, conjugate_signature(model, sig, g), gi) == sig
 
     def test_partial_signature_rejected(self):
-        with pytest.raises((PreconditionError, InvalidCMTypeError)):
+        with pytest.raises(InvalidCMTypeError) as info:
             conjugate_signature(FOUR, {"t1": (1, 1)}, "g0")
+        assert str(info.value) == "CM type does not cover every conjugate pair"

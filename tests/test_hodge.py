@@ -382,7 +382,7 @@ class TestInstanceAnalysis:
             m_1 = hodge_of_character(inst.model, inst.exp_pairs, inst.kappa)
             tensor = tensor_hodge(m_n, m_1)
             crit = critical_range(hodge_exponents(tensor), tensor.weight)
-            assert (a.rank_n, a.rank_1, a.tensor, a.window) == (m_n, m_1, tensor, crit)
+            assert a.window == crit
             assert a.exponents == hodge_exponents(tensor)
             assert a.admissible == tuple(m for m in crit.points() if 2 * m > 2 * inst.ap.n - inst.kappa)
             assert a.counts_arch == signature_from_arch(inst.ap, inst.diffs, inst.kappa)
@@ -430,12 +430,11 @@ def raised(fn, *args):
 
 
 BUILTIN_MODELS = [cyclic_model(1), cyclic_model(2), cyclic_model(3), klein_model(), dihedral_model(2), dihedral_model(3)]
+BUILTIN_IDS = ["cyclic:1", "cyclic:2", "cyclic:3", "klein", "dihedral:2", "dihedral:3"]
 
 
 class TestOnePassMatchesTheChain:
-    @pytest.mark.parametrize(
-        "model", BUILTIN_MODELS, ids=["cyclic:1", "cyclic:2", "cyclic:3", "klein", "dihedral:2", "dihedral:3"]
-    )
+    @pytest.mark.parametrize("model", BUILTIN_MODELS, ids=BUILTIN_IDS)
     def test_seeded_instances_and_their_conjugates(self, model):
         # Seeded cyclic draws of the model's degree, re-analysed on the model
         # (the builtin models of one degree share their embedding names).
@@ -459,8 +458,6 @@ class TestOnePassMatchesTheChain:
         [
             # the character's places hold a conjugate pair
             pytest.param(ONE_PAIR, {"t1": (2,)}, {"t1": (0, 0), "c1": (0, 0)}, 0, id="character-cm-type"),
-            # the character sits on another CM type than the parameters
-            pytest.param(cyclic_model(2), {"t1": (2,), "t2": (4,)}, {"t1": (0, 0), "c2": (0, 0)}, 0, id="other-places"),
             # 2*diff - kappa + 2A = 2*2 - 0 - 4 = 0 at t1
             pytest.param(ONE_PAIR, {"t1": (-4,)}, {"t1": (1, -1)}, 0, id="vanishing"),
         ],
@@ -469,10 +466,12 @@ class TestOnePassMatchesTheChain:
         ap = ArchParams(rows, 1, model)
         assert raised(one_pass, ap, exp_pairs, kappa) == raised(chain, ap, exp_pairs, kappa)
 
-    def test_hodge_data_built_on_first_read(self):
-        a = random_instance(random.Random(17))
-        assert "tensor" not in vars(a)
-        assert a.tensor is a.tensor
+    def test_character_on_other_places(self):
+        # Both place sets are CM types, so the chain gets as far as a missing place.
+        ap = ArchParams({"t1": (2,), "t2": (4,)}, 1, cyclic_model(2))
+        with pytest.raises(PreconditionError) as exc:
+            analyze_instance(ap, {"t1": (0, 0), "c2": (0, 0)}, 0)
+        assert str(exc.value) == "character places ['c2', 't1'] are not the parameters' places ['t1', 't2']"
 
 
 def fraction_chain(inst):
@@ -506,7 +505,7 @@ class TestIntegerChainMatchesFractions:
         for _ in range(300):
             inst = random_instance(rng)
             ref = fraction_chain(inst)
-            assert inst.rank_n.pairs == ref["pairs"]
+            assert hodge_from_arch_params(inst.ap).pairs == ref["pairs"]
             assert inst.counts_arch == ref["counts"]
             assert (inst.window.lo, inst.window.hi) == ref["window"]
             assert inst.admissible == ref["admissible"]
@@ -523,15 +522,29 @@ class TestIntegerChainMatchesFractions:
             critical_range([Fraction(5, 2)], 5)
 
 
+def model_arch_params(model):
+    """Seeded cyclic draws of the model's degree, re-built on the model."""
+    draws = seeded_instances(random.Random(13), 1000, DEFAULT_BOUNDS)
+    same_degree = (inst for inst in draws if inst.model.degree_plus == model.degree_plus)
+    return [ArchParams(inst.ap.doubled, inst.ap.n, model) for inst in islice(same_degree, 20)]
+
+
 class TestConjugateArchParams:
-    def test_round_trip_and_regularity(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            inst = random_instance(rng)
-            for g in inst.model.group:
-                conj = conjugate_arch_params(inst.ap, g)
-                gi = inst.model.inverse_name(g)
-                assert conjugate_arch_params(conj, gi) == inst.ap
+    @pytest.mark.parametrize("model", BUILTIN_MODELS, ids=BUILTIN_IDS)
+    def test_round_trip_and_regularity(self, model):
+        for ap in model_arch_params(model):
+            for g in model.group:
+                conj = conjugate_arch_params(ap, g)
+                gi = model.inverse_name(g)
+                assert conjugate_arch_params(conj, gi) == ap
+
+    @pytest.mark.parametrize("model", BUILTIN_MODELS, ids=BUILTIN_IDS)
+    def test_right_action_law(self, model):
+        for ap in model_arch_params(model):
+            for g in model.group:
+                for h in model.group:
+                    twice = conjugate_arch_params(conjugate_arch_params(ap, h), g)
+                    assert twice == conjugate_arch_params(ap, model.compose_names(h, g))
 
 
 class TestCharacterSplitIntegration:

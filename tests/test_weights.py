@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cmperiods import sweeps, weights
-from cmperiods.cmfield import cyclic_model, klein_model
-from cmperiods.errors import DominanceError
+from cmperiods.cmfield import cyclic_model, dihedral_model, klein_model
+from cmperiods.errors import DominanceError, PreconditionError
 from cmperiods.hecke import InfinityType, conjugate_infinity_type
 from cmperiods.weights import (
     Signature,
@@ -16,7 +16,6 @@ from cmperiods.weights import (
     det_twist,
     doubling_weight,
     dual_weight,
-    extend_weight,
     is_block_dominant,
     is_dominant,
     sharp_dual_composite,
@@ -163,6 +162,15 @@ class TestDualAndSharp:
         assert pair.n == 4 and pair.a0 == 0
 
 
+BUILTIN_MODELS = [cyclic_model(1), cyclic_model(2), cyclic_model(3), klein_model(), dihedral_model(2), dihedral_model(3)]
+BUILTIN_IDS = ["cyclic:1", "cyclic:2", "cyclic:3", "klein", "dihedral:2", "dihedral:3"]
+
+
+def model_weights(model):
+    rng = random.Random(5)
+    return [sweeps.random_dominant_weight(rng, model, 3) for _ in range(6)]
+
+
 class TestConjugateWeight:
     W = WeightParam({"t1": (1, 0), "t2": (5, 2)}, 0, 2)
 
@@ -176,21 +184,34 @@ class TestConjugateWeight:
         assert out.entries["t2"] == (0, -1)
         assert out.a0 == 0 + (1 + 0)
 
-    def test_inverse_round_trip(self):
-        for g in FOUR.group:
-            gi = FOUR.inverse_name(g)
-            assert conjugate_weight(conjugate_weight(self.W, g, FOUR), gi, FOUR) == self.W
+    @pytest.mark.parametrize("model", BUILTIN_MODELS, ids=BUILTIN_IDS)
+    def test_inverse_round_trip(self, model):
+        for w in model_weights(model):
+            for g in model.group:
+                gi = model.inverse_name(g)
+                assert conjugate_weight(conjugate_weight(w, g, model), gi, model) == w
 
-    def test_right_action_law(self):
-        for g in FOUR.group:
-            for h in FOUR.group:
-                twice = conjugate_weight(conjugate_weight(self.W, h, FOUR), g, FOUR)
-                once = conjugate_weight(self.W, FOUR.compose_names(h, g), FOUR)
-                assert twice == once
+    @pytest.mark.parametrize("model", BUILTIN_MODELS, ids=BUILTIN_IDS)
+    def test_right_action_law(self, model):
+        for w in model_weights(model):
+            for g in model.group:
+                for h in model.group:
+                    twice = conjugate_weight(conjugate_weight(w, h, model), g, model)
+                    once = conjugate_weight(w, model.compose_names(h, g), model)
+                    assert twice == once
 
     def test_extension_conventions(self):
-        ext = extend_weight(self.W, FOUR)
-        assert ext["c1"] == (0, -1)
+        # g2 sends t1 to c1, so t1 reads the reversed negation of the row at t1.
+        assert FOUR.element("g2")["t1"] == "c1"
+        assert conjugate_weight(self.W, "g2", FOUR).entries["t1"] == (0, -1)
+
+    def test_places_must_be_a_cm_type(self):
+        # A conjugate pair covers every embedding but is not a CM type.
+        w = WeightParam({"t1": (3, 1), "c1": (0, -2)}, 0, 2)
+        message = "weight places ['c1', 't1'] are not a CM type: CM type contains a conjugate pair"
+        with pytest.raises(PreconditionError) as info:
+            conjugate_weight(w, "g0", ONE_PAIR)
+        assert str(info.value) == message
 
 
 class TestDoublingEquivariance:
