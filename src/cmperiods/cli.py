@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .errors import ScenarioError
-from .scenario import CHECK_KINDS, emit_report, parse_scenario, run_checks, run_sweeps
+from .scenario import CHECK_KINDS, STRING_OPTIONS, emit_report, parse_scenario, run_checks, run_sweeps
 
 EXPLANATIONS = {
     "critical": [
@@ -92,11 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--level", choices=["q", "fgal", "e"], help="rationality level")
-        p.add_argument("--tate", choices=["on", "off"], help="enable the conditional period dictionary")
-        p.add_argument("--d-exponent", choices=["thm", "intro"], dest="d_exponent",
+        p.add_argument("--level", choices=STRING_OPTIONS["level"].values, help="rationality level")
+        p.add_argument("--tate", choices=STRING_OPTIONS["tate"].values,
+                       help="enable the conditional period dictionary")
+        p.add_argument("--d-exponent", choices=STRING_OPTIONS["d_exponent"].values,
                        help="discriminant-exponent variant of the standard period side")
-        p.add_argument("--format", choices=["structured", "text"], dest="fmt", help="report format")
+        p.add_argument("--format", choices=STRING_OPTIONS["format"].values, help="report format")
         p.add_argument("--seed", type=int, help="seed for randomized sweeps")
 
     p_check = sub.add_parser("check", help="run the checks declared in a scenario file")
@@ -121,20 +122,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         scn = parse_scenario(args.scenario)
-        for attr in ("level", "tate", "d_exponent", "fmt"):
-            value = getattr(args, attr, None)
-            if value is not None:
-                setattr(scn.options, attr, value)
-        if args.seed is not None:
-            scn.options.seed = args.seed
-        scn.options.level_enum()
-        scn.options.tate_enabled()
+        for key in (*STRING_OPTIONS, "seed"):
+            if getattr(args, key) is not None:
+                setattr(scn.options, key, getattr(args, key))
         report = run_checks(scn) if args.command == "check" else run_sweeps(scn)
     except ScenarioError as exc:
         where = f" (line {exc.line}, column {exc.column})" if exc.line else ""
         print(f"input error: {exc}{where}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, scn.options.fmt))
+    sys.stdout.write(emit_report(report, scn.options.format))
     return 0 if report.all_passed else 1
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     IllPosedModelError,
@@ -73,17 +74,21 @@ class CMFieldModel:
                 if perm[self.conj[t]] != self.conj[perm[t]]:
                     raise InvalidModelError(f"group element {name!r} does not commute with conj")
         # Closure and inverses; with these, every coset computation below is total.
-        perms = {self._key(p): n for n, p in self.group.items()}
         for g, h in itertools.product(self.group.values(), repeat=2):
-            if self._key(compose(g, h)) not in perms:
+            if self._key(compose(g, h)) not in self._names:
                 raise InvalidModelError("group is not closed under composition")
         for name, perm in self.group.items():
-            if self._key(invert(perm)) not in perms:
+            if self._key(invert(perm)) not in self._names:
                 raise InvalidModelError(f"group element {name!r} has no inverse in the model")
 
     @staticmethod
     def _key(perm: Perm) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(perm.items()))
+
+    @cached_property
+    def _names(self) -> dict[tuple[tuple[str, str], ...], str]:
+        """Each element's permutation key, with the first name listed for it."""
+        return {self._key(p): n for n, p in reversed(self.group.items())}
 
     @property
     def degree_plus(self) -> int:
@@ -96,11 +101,10 @@ class CMFieldModel:
             raise PreconditionError(f"unknown group element {name!r}") from None
 
     def name_of(self, perm: Perm) -> str:
-        key = self._key(perm)
-        for name, p in self.group.items():
-            if self._key(p) == key:
-                return name
-        raise PreconditionError("permutation is not a group element of the model")
+        try:
+            return self._names[self._key(perm)]
+        except KeyError:
+            raise PreconditionError("permutation is not a group element of the model") from None
 
     def inverse_name(self, name: str) -> str:
         return self.name_of(invert(self.element(name)))

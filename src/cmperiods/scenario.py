@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from . import basechange as bc
 from .cmfield import (
@@ -71,29 +71,75 @@ from .weights import (
 SCENARIO_SCHEMA = "cmperiods/scenario-v1"
 REPORT_SCHEMA = "cmperiods/report-v1"
 
-CHECK_KINDS = ("critical", "signature", "weights", "lemma_d", "compare", "basechange", "ephi")
+
+class StringOption(NamedTuple):
+    values: tuple[str, ...]
+    default: str
+
+
+# The string options, keyed as in a scenario's ``options`` and on the command line.
+STRING_OPTIONS = {
+    "level": StringOption(("q", "fgal", "e"), "fgal"),
+    "tate": StringOption(("on", "off"), "on"),
+    "d_exponent": StringOption(("thm", "intro"), "thm"),
+    "format": StringOption(("structured", "text"), "structured"),
+}
+
+
+class CheckField(NamedTuple):
+    """How a check reads one field, and its value where the check leaves it out."""
+
+    type: str  # "name", "int", "bool" (a JSON boolean) or "pair" (a list of two integers)
+    default: Any = None  # a name has none: it is required
+    least: int | None = None  # an int's least value, if it has one
+    block: str | None = None  # the block that must define a name
+
+
+_INSTANCE_FIELDS = {
+    "arch": CheckField("name", block="arch_params"),
+    "character": CheckField("name", block="characters"),
+}
+# Each check kind with every field it reads.
+CHECK_FIELDS = {
+    "critical": {**_INSTANCE_FIELDS, "expect": CheckField("pair")},
+    "signature": _INSTANCE_FIELDS,
+    "weights": {
+        "weight": CheckField("name", block="weights"),
+        "infinity_type": CheckField("name", block="infinity_types"),
+        "signature": CheckField("name", block="signatures"),
+        "kappa": CheckField("int", 0),
+    },
+    "lemma_d": {
+        "n_max": CheckField("int", 12, least=1),
+        "kappa_max": CheckField("int", 4, least=0),
+        "d_max": CheckField("int", 3, least=1),
+        "m_extra": CheckField("int", 6),
+    },
+    "compare": {**_INSTANCE_FIELDS, "a0": CheckField("int", 0)},
+    "basechange": {
+        "m_max": CheckField("int", 3, least=1),
+        "odd_rank": CheckField("bool", False),
+        "witness": CheckField("bool", True),
+    },
+    "ephi": {},
+}
+CHECK_KINDS = tuple(CHECK_FIELDS)
 
 
 @dataclass
 class Options:
-    level: str = "fgal"
-    tate: str = "on"
-    d_exponent: str = "thm"
-    fmt: str = "structured"
-    seed: int = 0
-    sweep: SweepBounds = field(default_factory=SweepBounds)
-    sweep_count: int = 200
+    level: str
+    tate: str
+    d_exponent: str
+    format: str
+    seed: int
+    sweep: SweepBounds
+    sweep_count: int
 
     def level_enum(self) -> Level:
-        if self.level in ("q", "e"):
-            return Level.Q
-        if self.level == "fgal":
-            return Level.FGAL
-        raise ScenarioError(f"unknown level {self.level!r}")
+        return Level.FGAL if self.level == "fgal" else Level.Q
 
     def tate_enabled(self) -> bool:
-        if self.tate not in ("on", "off"):
-            raise ScenarioError(f"tate flag must be 'on' or 'off', got {self.tate!r}")
         return self.tate == "on"
 
 
@@ -102,11 +148,9 @@ class Scenario:
     model: CMFieldModel
     cm_type: CMType
     family: EmbFamilyModel | None
-    signatures: dict[str, Signature]
-    weights: dict[str, WeightParam]
-    infinity_types: dict[str, InfinityType]
-    arch_params: dict[str, ArchParams]
-    characters: dict[str, dict]
+    # The named entries of the blocks signatures, weights, infinity_types,
+    # arch_params and characters, by block and then by name.
+    blocks: dict[str, dict]
     checks: list[dict]
     options: Options
     # One instance per (arch, character) pair, so checks on the same pair
@@ -124,8 +168,12 @@ def _int(value: Any, where: str) -> int:
     return value
 
 
+def _is_pair(value: Any) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value)
+
+
 def _int_pair(value: Any, where: str) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value)):
+    if not _is_pair(value):
         raise ScenarioError(f"{where} must be a list of two integers, got {value!r}")
     return value[0], value[1]
 
@@ -133,9 +181,8 @@ def _int_pair(value: Any, where: str) -> tuple[int, int]:
 def _fraction(value: Any, where: str) -> Fraction:
     if _is_int(value):
         return Fraction(value)
-    if isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value):
-        if value[1]:
-            return Fraction(value[0], value[1])
+    if _is_pair(value) and value[1]:
+        return Fraction(value[0], value[1])
     raise ScenarioError(f"{where}: rationals must be integers or [num, den] pairs with den != 0")
 
 
@@ -155,8 +202,15 @@ def _shaped(value: Any, shape: type, where: str) -> Any:
     return value
 
 
+def _required(spec: dict, key: str, where: str) -> Any:
+    """``spec[key]``, which the scenario must give."""
+    if key not in spec:
+        raise ScenarioError(f"{where}.{key} is missing")
+    return spec[key]
+
+
 def _member(spec: dict, key: str, where: str) -> dict:
-    return _shaped(spec[key], dict, f"{where}.{key}")
+    return _shaped(_required(spec, key, where), dict, f"{where}.{key}")
 
 
 def _names(value: Any, where: str) -> list[str]:
@@ -179,15 +233,15 @@ def _embedding_keys(entries: dict, model: CMFieldModel, where: str) -> None:
             raise ScenarioError(f"{where}: {t!r} is not an embedding of the field model")
 
 
-def _per_place(spec: dict, key: str, model: CMFieldModel, where: str) -> dict:
-    """The object ``spec[key]``, whose keys must be the places of a CM type of the model."""
+def _per_place(spec: dict, key: str, model: CMFieldModel, where: str, read=None) -> dict:
+    """The object ``spec[key]``, keyed by the places of a CM type, with each value read by ``read``."""
     entries, where = _member(spec, key, where), f"{where}.{key}"
     _embedding_keys(entries, model, where)
     try:
         CMType(frozenset(entries)).validate(model)
     except InvalidCMTypeError as exc:
         raise ScenarioError(f"{where}: keys {sorted(entries)} are not a CM type: {exc}") from exc
-    return entries
+    return {t: read(v, f"{where}.{t}") for t, v in entries.items()} if read else entries
 
 
 BUILTIN_MODELS = {
@@ -205,37 +259,16 @@ def _parse_model(spec: Any) -> CMFieldModel:
         if kind in BUILTIN_MODELS and arg.isdigit():
             return BUILTIN_MODELS[kind](int(arg))
         raise ScenarioError(f"unknown builtin field model {name!r}")
-    try:
-        return CMFieldModel(
-            embeddings=tuple(_names(spec["embeddings"], "field_model.embeddings")),
-            conj=dict(_member(spec, "conj", "field_model")),
-            group={
-                name: dict(_shaped(perm, dict, f"field_model.group.{name}"))
-                for name, perm in _member(spec, "group", "field_model").items()
-            },
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"field_model is missing key {exc}") from exc
+    return CMFieldModel(
+        embeddings=tuple(_names(_required(spec, "embeddings", "field_model"), "field_model.embeddings")),
+        conj=dict(_member(spec, "conj", "field_model")),
+        group={
+            name: dict(_shaped(perm, dict, f"field_model.group.{name}"))
+            for name, perm in _member(spec, "group", "field_model").items()
+        },
+    )
 
 
-def _check_basechange_fields(chk: dict, where: str) -> None:
-    m_max = chk.get("m_max", 3)
-    if not _is_int(m_max) or m_max < 1:
-        raise ScenarioError(f"{where}: m_max must be an integer >= 1, got {m_max!r}")
-    for flag in ("odd_rank", "witness"):
-        if flag in chk and not isinstance(chk[flag], bool):
-            raise ScenarioError(f"{where}: {flag} must be true or false, got {chk[flag]!r}")
-
-
-# Per check kind: the fields naming a scenario entry, with the block that
-# must define it, and the optional fields that must be integers.
-_INSTANCE_REFS = (("arch", "arch_params"), ("character", "characters"))
-_CHECK_REFS = {
-    "critical": _INSTANCE_REFS,
-    "signature": _INSTANCE_REFS,
-    "compare": _INSTANCE_REFS,
-    "weights": (("weight", "weights"), ("infinity_type", "infinity_types"), ("signature", "signatures")),
-}
 # The blocks keyed by the places of a CM type, with each entry's keyed mapping.
 # The entries one check refers to from these blocks must share their places.
 _PLACE_KEYED = {
@@ -244,38 +277,56 @@ _PLACE_KEYED = {
     "weights": lambda mu: mu.entries,
     "signatures": lambda sig: sig.pairs,
 }
-_INT_FIELDS = {
-    "lemma_d": ("n_max", "kappa_max", "d_max", "m_extra"),
-    "compare": ("a0",),
-    "weights": ("kappa",),
-}
 
 
-def _check_fields(chk: dict, where: str, blocks: dict[str, dict]) -> None:
-    if chk["kind"] == "critical" and "expect" in chk:
-        _int_pair(chk["expect"], f"{where}: expect")
-    for name, block in _CHECK_REFS.get(chk["kind"], ()):
-        ref = chk.get(name)
-        if not isinstance(ref, str) or ref not in blocks[block]:
-            raise ScenarioError(f"{where}: {name} must be a name defined in {block}, got {ref!r}")
+def _check_value(chk: dict, name: str, spec: CheckField, where: str, blocks: dict[str, dict]) -> Any:
+    """The check's value of field ``name``, or the field's default where the check leaves it out."""
+    if name not in chk and spec.type != "name":
+        return spec.default
+    value = chk.get(name)
+    if spec.type == "name":
+        ok, wanted = isinstance(value, str) and value in blocks[spec.block], f"a name defined in {spec.block}"
+    elif spec.type == "int":
+        ok = _is_int(value) and (spec.least is None or value >= spec.least)
+        wanted = "an integer" if spec.least is None else f"an integer >= {spec.least}"
+    elif spec.type == "bool":
+        ok, wanted = isinstance(value, bool), "true or false"
+    else:
+        ok, wanted = _is_pair(value), "a list of two integers"
+    if not ok:
+        raise ScenarioError(f"{where}: {name} must be {wanted}, got {value!r}")
+    return value
+
+
+def _check_fields(chk: dict, kind: str, where: str, blocks: dict[str, dict]) -> dict:
+    """Every field of the check's kind, read from the check or defaulted."""
+    spec = CHECK_FIELDS[kind]
+    values = {name: _check_value(chk, name, spec[name], where, blocks) for name in spec}
     places = {
-        name: sorted(_PLACE_KEYED[block](blocks[block][chk[name]]))
-        for name, block in _CHECK_REFS.get(chk["kind"], ())
-        if block in _PLACE_KEYED
+        name: sorted(_PLACE_KEYED[spec[name].block](blocks[spec[name].block][values[name]]))
+        for name in spec
+        if spec[name].block in _PLACE_KEYED
     }
     if len({tuple(keys) for keys in places.values()}) > 1:
-        named = " and ".join(f"{name} {chk[name]!r} on {keys}" for name, keys in places.items())
+        named = " and ".join(f"{name} {values[name]!r} on {keys}" for name, keys in places.items())
         raise ScenarioError(f"{where}: {named} must be keyed by the same places")
-    if chk["kind"] == "weights":
-        mu, sig = blocks["weights"][chk["weight"]], blocks["signatures"][chk["signature"]]
+    if kind == "weights":
+        mu, sig = blocks["weights"][values["weight"]], blocks["signatures"][values["signature"]]
         if mu.n != sig.n:
             raise ScenarioError(
-                f"{where}: weight {chk['weight']!r} of rank {mu.n} and signature"
-                f" {chk['signature']!r} of rank {sig.n} must have the same rank"
+                f"{where}: weight {values['weight']!r} of rank {mu.n} and signature"
+                f" {values['signature']!r} of rank {sig.n} must have the same rank"
             )
-    for name in _INT_FIELDS.get(chk["kind"], ()):
-        if name in chk:
-            _int(chk[name], f"{where}: {name}")
+    if kind == "lemma_d":
+        # Each (n, kappa, d) contributes m_extra + ceil(kappa/2) values of m
+        # when that is positive, so the grid is empty unless it is at kappa_max.
+        kappa_max, m_extra = values["kappa_max"], values["m_extra"]
+        least = 1 - (kappa_max + 1) // 2
+        if m_extra < least:
+            raise ScenarioError(
+                f"{where}: m_extra must be at least {least} for kappa_max {kappa_max}, got {m_extra}"
+            )
+    return values
 
 
 # The least value of each sweep setting that a sweep can sample from.
@@ -332,35 +383,31 @@ def parse_scenario(path: str) -> Scenario:
         elif fam_spec is not None:
             action = _member(_shaped(fam_spec, dict, "emb_family"), "action", "emb_family")
             family = EmbFamilyModel(
-                points=tuple(_names(fam_spec["points"], "emb_family.points")),
-                base=fam_spec["base"],
+                points=tuple(_names(_required(fam_spec, "points", "emb_family"), "emb_family.points")),
+                base=_required(fam_spec, "base", "emb_family"),
                 action={g: dict(_shaped(p, dict, f"emb_family.action.{g}")) for g, p in action.items()},
             )
             family.validate(model)
 
-        signatures = {}
+        blocks = {block: {} for block in ("signatures", "weights", "infinity_types", "arch_params", "characters")}
+        signatures, weight_params, infinity_types, arch_params, characters = blocks.values()
         for name, where, spec in _named(raw, "signatures"):
-            pairs = _per_place(spec, "pairs", model, where)
-            pairs = {t: _int_pair(rs, f"{where}.pairs.{t}") for t, rs in pairs.items()}
-            signatures[name] = Signature(pairs, _int(spec["n"], f"{where}.n"))
-        weight_params = {}
+            pairs = _per_place(spec, "pairs", model, where, _int_pair)
+            signatures[name] = Signature(pairs, _int(_required(spec, "n", where), f"{where}.n"))
         for name, where, spec in _named(raw, "weights"):
-            rows = {
-                t: tuple(_int(a, f"{where}.entries.{t}") for a in _shaped(row, list, f"{where}.entries.{t}"))
-                for t, row in _per_place(spec, "entries", model, where).items()
-            }
-            a0, n = _int(spec["a0"], f"{where}.a0"), _int(spec["n"], f"{where}.n")
+            rows = _per_place(
+                spec, "entries", model, where, lambda row, at: tuple(_int(a, at) for a in _shaped(row, list, at))
+            )
+            a0, n = (_int(_required(spec, key, where), f"{where}.{key}") for key in ("a0", "n"))
             weight_params[name] = WeightParam(rows, a0, n)
-        infinity_types = {}
         for name, where, spec in _named(raw, "infinity_types"):
             _embedding_keys(spec, model, where)
             for t in model.embeddings:
                 if t not in spec:
                     raise ScenarioError(f"{where}: embedding {t!r} has no exponent")
             infinity_types[name] = InfinityType({t: _int(v, f"{where}.{t}") for t, v in spec.items()}, model)
-        arch_params = {}
         for name, where, spec in _named(raw, "arch_params"):
-            n = _int(spec["n"], f"{where}.n")
+            n = _int(_required(spec, "n", where), f"{where}.n")
             doubled = {}
             for t, row in _per_place(spec, "entries", model, where).items():
                 doubled[t] = tuple(_doubled(x, f"{where}.{t}") for x in _shaped(row, list, f"{where}.{t}"))
@@ -368,58 +415,39 @@ def parse_scenario(path: str) -> Scenario:
                 if defect:
                     raise ScenarioError(f"{where}.{t}: doubled parameters {defect}")
             arch_params[name] = ArchParams(doubled, n, model)
-        characters = {}
         for name, where, spec in _named(raw, "characters"):
-            pairs = _per_place(spec, "pairs", model, where)
-            pairs = {t: _int_pair(p, f"{where}.pairs.{t}") for t, p in pairs.items()}
+            pairs = _per_place(spec, "pairs", model, where, _int_pair)
             characters[name] = {"pairs": pairs, "kappa": _int(spec.get("kappa", 0), f"{where}.kappa")}
 
         opts_raw = _shaped(raw.get("options", {}), dict, "options")
         sweep_raw = _shaped(opts_raw.get("sweep", {}), dict, "options.sweep")
-        bound_names = [f.name for f in fields(SweepBounds)]
-        for key in ("count", *bound_names):
-            if key in sweep_raw:
-                _int(sweep_raw[key], f"options.sweep.{key}")
+        sweep_keys = ("count", *(f.name for f in fields(SweepBounds)))
+        sweep = {key: _int(sweep_raw[key], f"options.sweep.{key}") for key in sweep_keys if key in sweep_raw}
+        count = sweep.pop("count", 200)
+        strings = {key: opts_raw.get(key, option.default) for key, option in STRING_OPTIONS.items()}
+        for key, value in strings.items():
+            if value not in STRING_OPTIONS[key].values:
+                *others, last = map(repr, STRING_OPTIONS[key].values)
+                raise ScenarioError(f"{key} must be {', '.join(others)} or {last}, got {value!r}")
         options = Options(
-            level=opts_raw.get("level", "fgal"),
-            tate=opts_raw.get("tate", "on"),
-            d_exponent=opts_raw.get("d_exponent", "thm"),
-            fmt=opts_raw.get("format", "structured"),
-            seed=_int(raw.get("seed", 0), "seed"),
-            sweep=SweepBounds(**{k: sweep_raw[k] for k in bound_names if k in sweep_raw}),
-            sweep_count=sweep_raw.get("count", 200),
+            **strings, seed=_int(raw.get("seed", 0), "seed"), sweep=SweepBounds(**sweep), sweep_count=count
         )
         _check_sweep_sizes(options)
-        options.level_enum()
-        options.tate_enabled()
-        if options.d_exponent not in ("thm", "intro"):
-            raise ScenarioError(f"d_exponent must be 'thm' or 'intro', got {options.d_exponent!r}")
-        if options.fmt not in ("structured", "text"):
-            raise ScenarioError(f"format must be 'structured' or 'text', got {options.fmt!r}")
 
-        blocks = {
-            "arch_params": arch_params,
-            "characters": characters,
-            "weights": weight_params,
-            "infinity_types": infinity_types,
-            "signatures": signatures,
-        }
         checks = []
         first_of: dict[str, int] = {}  # each check id, with the index of the check it names
         for idx, chk in enumerate(_shaped(raw.get("checks", []), list, "checks")):
             kind = _shaped(chk, dict, f"checks[{idx}]").get("kind")
             if kind not in CHECK_KINDS:
                 raise ScenarioError(f"checks[{idx}]: unknown kind {kind!r}")
-            if kind == "basechange":
-                _check_basechange_fields(chk, f"checks[{idx}]")
-            _check_fields(chk, f"checks[{idx}]", blocks)
+            values = _check_fields(chk, kind, f"checks[{idx}]", blocks)
             check_id = chk.get("id", f"{kind}-{idx}")
             if not isinstance(check_id, str) or not check_id:
                 raise ScenarioError(f"checks[{idx}].id must be a non-empty string, got {check_id!r}")
             if check_id in first_of:
                 raise ScenarioError(f"checks[{idx}].id {check_id!r} repeats checks[{first_of[check_id]}].id")
             first_of[check_id] = idx
-            checks.append(dict(chk, id=check_id))
+            checks.append({"id": check_id, "kind": kind, **values})
     except ScenarioError:
         raise
     except CMPeriodsError as exc:
@@ -427,18 +455,7 @@ def parse_scenario(path: str) -> Scenario:
     except (LookupError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
-    return Scenario(
-        model=model,
-        cm_type=cm_type,
-        family=family,
-        signatures=signatures,
-        weights=weight_params,
-        infinity_types=infinity_types,
-        arch_params=arch_params,
-        characters=characters,
-        checks=checks,
-        options=options,
-    )
+    return Scenario(model=model, cm_type=cm_type, family=family, blocks=blocks, checks=checks, options=options)
 
 
 @dataclass
@@ -478,9 +495,7 @@ class Report:
                 for r in self.results
             ],
             "summary": {
-                "pass": sum(1 for r in self.results if r.status == "pass"),
-                "fail": sum(1 for r in self.results if r.status == "fail"),
-                "error": sum(1 for r in self.results if r.status == "error"),
+                **{status: sum(r.status == status for r in self.results) for status in ("pass", "fail", "error")},
                 "status": "pass" if self.all_passed else "fail",
             },
         }
@@ -493,10 +508,8 @@ def _mono_dict(mono) -> dict[str, int]:
 def _instance_for(scn: Scenario, chk: dict) -> InstanceAnalysis:
     key = (chk["arch"], chk["character"])
     if key not in scn.instances:
-        char = scn.characters[chk["character"]]
-        scn.instances[key] = analyze_instance(
-            scn.arch_params[chk["arch"]], char["pairs"], char["kappa"]
-        )
+        char = scn.blocks["characters"][chk["character"]]
+        scn.instances[key] = analyze_instance(scn.blocks["arch_params"][chk["arch"]], char["pairs"], char["kappa"])
     return scn.instances[key]
 
 
@@ -514,7 +527,7 @@ def _run_critical(scn: Scenario, chk: dict) -> Outcome:
         "points": list(crit.points()),
     }
     status = "pass"
-    if "expect" in chk and list(chk["expect"]) != [crit.lo, crit.hi]:
+    if chk["expect"] is not None and list(chk["expect"]) != [crit.lo, crit.hi]:
         status = "fail"
         details["expected"] = list(chk["expect"])
     return status, details, ("critical-window",)
@@ -536,15 +549,15 @@ def _run_signature(scn: Scenario, chk: dict) -> Outcome:
 
 
 def _run_weights(scn: Scenario, chk: dict) -> Outcome:
-    mu = scn.weights[chk["weight"]]
-    psi = scn.infinity_types[chk["infinity_type"]]
-    sig = scn.signatures[chk["signature"]]
+    mu = scn.blocks["weights"][chk["weight"]]
+    psi = scn.blocks["infinity_types"][chk["infinity_type"]]
+    sig = scn.blocks["signatures"][chk["signature"]]
     details: dict[str, Any] = {"dominant": is_dominant(mu)}
     ok = details["dominant"]
     if ok:
         lam = doubling_weight(mu, psi, sig)
         details["doubling_block_dominant"] = is_block_dominant(lam, sig)
-        kappa = chk.get("kappa", 0)
+        kappa = chk["kappa"]
         details["sharp_paths_agree"] = sharp_dual_weight(mu, kappa) == sharp_dual_composite(mu, kappa)
         ok = details["doubling_block_dominant"] and details["sharp_paths_agree"]
         equiv_fail = doubling_equivariance_failures(mu, psi, sig, lam)
@@ -558,10 +571,7 @@ def _run_weights(scn: Scenario, chk: dict) -> Outcome:
 
 
 def _run_lemma_d(scn: Scenario, chk: dict) -> Outcome:
-    n_max = chk.get("n_max", 12)
-    kappa_max = chk.get("kappa_max", 4)
-    d_max = chk.get("d_max", 3)
-    m_extra = chk.get("m_extra", 6)
+    n_max, kappa_max, d_max, m_extra = chk["n_max"], chk["kappa_max"], chk["d_max"], chk["m_extra"]
     checked = 0
     mismatches = []
     for n in range(1, n_max + 1):
@@ -601,7 +611,7 @@ def _run_compare(scn: Scenario, chk: dict) -> Outcome:
         n=analysis.ap.n,
         m=max((p.m for p in report.points), default=analysis.ap.n + 1),
         d_plus=analysis.model.degree_plus,
-        a0=chk.get("a0", 0),
+        a0=chk["a0"],
         variant=scn.options.d_exponent,
         level=level,
     )
@@ -621,9 +631,9 @@ def _run_compare(scn: Scenario, chk: dict) -> Outcome:
 
 
 def _run_basechange(scn: Scenario, chk: dict) -> Outcome:
-    m_max = chk.get("m_max", 3)
+    m_max = chk["m_max"]
     total = failures = coordinatewise = 0
-    for rep in bc.sweep_commutativity(m_max, odd_rank=chk.get("odd_rank", False)):
+    for rep in bc.sweep_commutativity(m_max, odd_rank=chk["odd_rank"]):
         total += 1
         coordinatewise += rep.values_equal_as_tuples
         if not rep.weyl_equivalent:
@@ -636,7 +646,7 @@ def _run_basechange(scn: Scenario, chk: dict) -> Outcome:
         "decided_by": {"coordinatewise": coordinatewise, "weyl_orbit": total - coordinatewise},
     }
     ok = failures == 0 and total > 0
-    if chk.get("witness", True) and m_max >= 2:
+    if chk["witness"] and m_max >= 2:
         witness = bc.commutativity_check(
             bc.UnramChar(bc.USide(2), (bc.qval(2, 0), bc.qval(1, 1))), -1
         )
@@ -673,15 +683,8 @@ def _run_ephi(scn: Scenario, chk: dict) -> Outcome:
     )
 
 
-_CHECK_RUNNERS = {
-    "critical": _run_critical,
-    "signature": _run_signature,
-    "weights": _run_weights,
-    "lemma_d": _run_lemma_d,
-    "compare": _run_compare,
-    "basechange": _run_basechange,
-    "ephi": _run_ephi,
-}
+# Each check kind is run by the function ``_run_<kind>``.
+_CHECK_RUNNERS = {kind: globals()[f"_run_{kind}"] for kind in CHECK_KINDS}
 
 
 def _report(scn: Scenario, jobs, **options) -> Report:
@@ -702,12 +705,8 @@ def _report(scn: Scenario, jobs, **options) -> Report:
     return Report(
         schema=REPORT_SCHEMA,
         seed=scn.options.seed,
-        options={
-            "level": scn.options.level,
-            "tate": scn.options.tate,
-            "d_exponent": scn.options.d_exponent,
-            **options,
-        },
+        # Reports echo every string option but the format.
+        options={**{key: getattr(scn.options, key) for key in STRING_OPTIONS if key != "format"}, **options},
         results=results,
         elapsed=time.perf_counter() - started,
     )
@@ -761,8 +760,6 @@ def emit_report(report: Report, fmt: str = "structured") -> str:
     """Render a report; the structured form is byte-deterministic."""
     if fmt == "structured":
         return json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"
-    if fmt != "text":
-        raise ScenarioError(f"unknown report format {fmt!r}")
     lines = [f"report {report.schema} (seed {report.seed})"]
     for r in report.results:
         lines.append(f"[{r.status.upper():5s}] {r.check_id} ({r.kind})")

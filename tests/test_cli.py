@@ -10,13 +10,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmperiods import cmfield, scenario
-from cmperiods.cli import main
+from cmperiods.cli import EXPLANATIONS, main
 from cmperiods.cmfield import EmbFamilyModel, conjugate_cm_type
 from cmperiods.errors import ScenarioError
-from cmperiods.scenario import Scenario, emit_report, parse_scenario, run_checks, run_sweeps
+from cmperiods.scenario import (
+    CHECK_FIELDS,
+    CHECK_KINDS,
+    Scenario,
+    emit_report,
+    parse_scenario,
+    run_checks,
+    run_sweeps,
+)
 from cmperiods.weights import similitude_twist
 
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
+README = DEMO.parents[1] / "README.md"
 
 MINIMAL = {
     "schema": "cmperiods/scenario-v1",
@@ -170,10 +179,15 @@ class TestParsing:
             ("signature", None),
             ("expect", 5),
             ("expect", [1, "2"]),
+            # Below the least value, where a lemma_d grid would be empty.
+            ("n_max", 0),
+            ("d_max", 0),
+            ("kappa_max", -1),
+            ("m_extra", -20),
         ],
     )
     def test_malformed_basechange_field(self, tmp_path, capsys, field, value):
-        # Despite the name, covers every validated check field: each value
+        # Covers every check field, not only those of basechange: each value
         # spoils an otherwise valid check of the kind that reads the field.
         valid = {
             "basechange": {"kind": "basechange"},
@@ -345,8 +359,85 @@ class TestParsing:
         path = write(tmp_path, mutated(copy.deepcopy(DEMO_DOC), mutations))
         try:
             assert isinstance(parse_scenario(path), Scenario)
-        except ScenarioError:
-            pass
+        except ScenarioError as exc:
+            # A missing member is named by its place, not by a bare KeyError.
+            assert "malformed scenario: KeyError" not in str(exc)
+
+    @pytest.mark.parametrize(
+        "path, value, place",
+        [
+            pytest.param(("arch_params", "Pi", "n"), DROP, "arch_params.Pi.n", id="arch-n"),
+            pytest.param(("arch_params", "Pi", "entries"), DROP, "arch_params.Pi.entries", id="arch-entries"),
+            pytest.param(("weights", "mu", "a0"), DROP, "weights.mu.a0", id="weight-a0"),
+            pytest.param(("signatures", "sig", "pairs"), DROP, "signatures.sig.pairs", id="signature-pairs"),
+            pytest.param(("emb_family", "builtin"), DROP, "emb_family.action", id="family-action"),
+            pytest.param(("field_model",), {
+                "embeddings": ["t1", "t2", "c1", "c2"], "group": {"e": {t: t for t in ("t1", "t2", "c1", "c2")}},
+            }, "field_model.conj", id="model-conj"),
+        ],
+    )
+    def test_missing_member_exits_two(self, tmp_path, capsys, path, value, place):
+        payload = mutated(copy.deepcopy(DEMO_DOC), [(path, value)])
+        assert main(["check", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {place} is missing\n"
+
+    def test_bare_checks_take_their_defaults(self, tmp_path):
+        payload = dict(MINIMAL, checks=[{"kind": "lemma_d"}, {"kind": "basechange"}])
+        scn = parse_scenario(write(tmp_path, payload))
+        assert scn.checks == [
+            {"id": "lemma_d-0", "kind": "lemma_d", "n_max": 12, "kappa_max": 4, "d_max": 3, "m_extra": 6},
+            {"id": "basechange-1", "kind": "basechange", "m_max": 3, "odd_rank": False, "witness": True},
+        ]
+        lemma, basechange = run_checks(scn).results
+        assert (lemma.status, lemma.details["checked"]) == ("pass", 1296)
+        assert basechange.status == "pass" and "witness" in basechange.details
+
+    @pytest.mark.parametrize("kappa_max", range(0, 6))
+    def test_lemma_d_grid_is_empty_exactly_when_rejected(self, tmp_path, kappa_max):
+        for m_extra in range(-4, 5):
+            fields = {"n_max": 1, "kappa_max": kappa_max, "d_max": 1, "m_extra": m_extra}
+            _, details, _ = scenario._run_lemma_d(None, fields)
+            payload = dict(MINIMAL, checks=[dict(fields, kind="lemma_d")])
+            if details["checked"]:
+                parse_scenario(write(tmp_path, payload))
+            else:
+                with pytest.raises(ScenarioError, match=r"^checks\[0\]: m_extra must be at least"):
+                    parse_scenario(write(tmp_path, payload))
+
+    def test_readme_table_lists_every_check_field(self):
+        # The "Scenario format" table: kind, field, type, least value, default.
+        rows = [
+            [cell.replace("`", "").strip() for cell in line.strip("|").split("|")]
+            for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `")
+        ]
+
+        def cells(spec):
+            if spec.type == "name":
+                return [f"name in {spec.block}", "", "required"]
+            default = "none" if spec.default is None else json.dumps(spec.default)
+            return [spec.type, "" if spec.least is None else str(spec.least), default]
+
+        expected = [
+            [kind, name, *cells(spec)] for kind, specs in CHECK_FIELDS.items() for name, spec in specs.items()
+        ]
+        assert rows == expected
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("level", "Q", "level must be 'q', 'fgal' or 'e', got 'Q'"),
+            ("tate", True, "tate must be 'on' or 'off', got True"),
+            ("d_exponent", None, "d_exponent must be 'thm' or 'intro', got None"),
+            ("format", "json", "format must be 'structured' or 'text', got 'json'"),
+        ],
+    )
+    def test_string_option_values_exit_two(self, tmp_path, capsys, key, value, message):
+        payload = mutated(copy.deepcopy(DEMO_DOC), [(("options", key), value)])
+        assert main(["check", write(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
         "value",
@@ -498,6 +589,19 @@ class TestEphiCheck:
         assert result.details["cm_types_checked"] == 4
 
 
+@pytest.fixture(scope="module")
+def demo_identities():
+    """Each check kind with the identities its demo check cites at any level and tate setting."""
+    cited = {}
+    for level in ("q", "fgal"):
+        for tate in ("on", "off"):
+            scn = parse_scenario(str(DEMO))
+            scn.options.level, scn.options.tate = level, tate
+            for result in run_checks(scn).results:
+                cited.setdefault(result.kind, set()).update(result.identities)
+    return cited
+
+
 class TestMainEntry:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
@@ -546,16 +650,15 @@ class TestMainEntry:
         assert "closed form" in out
         assert "identities:" in out
 
-    def test_explain_compare_names_every_cited_identity(self, capsys):
-        cited = set()
-        for level in ("q", "fgal"):
-            for tate in ("on", "off"):
-                main(["check", str(DEMO), "--level", level, "--tate", tate])
-                report = json.loads(capsys.readouterr().out)
-                cited.update(tag for c in report["checks"] if c["kind"] == "compare" for tag in c["identities"])
-        assert main(["explain", "compare"]) == 0
+    def test_explain_covers_every_check_kind(self):
+        assert set(EXPLANATIONS) == set(CHECK_FIELDS)
+
+    @pytest.mark.parametrize("kind", CHECK_KINDS)
+    def test_explain_names_every_cited_identity(self, capsys, demo_identities, kind):
+        cited = demo_identities[kind]
+        assert main(["explain", kind]) == 0
         out = capsys.readouterr().out
-        assert len(cited) == 11
+        assert cited and (kind != "compare" or len(cited) == 11)
         assert [tag for tag in sorted(cited) if tag not in out] == []
 
     def test_demo_scenario_passes(self, capsys):

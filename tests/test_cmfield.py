@@ -21,6 +21,7 @@ from cmperiods.errors import (
     IllPosedModelError,
     InvalidCMTypeError,
     InvalidModelError,
+    PreconditionError,
     UnreachablePointError,
 )
 
@@ -71,6 +72,24 @@ class TestModelInvariants:
         cycle = FOUR.group["g1"]
         with pytest.raises(InvalidModelError):
             CMFieldModel(FOUR.embeddings, FOUR.conj, {"g1": cycle})
+
+    @pytest.mark.parametrize("model", MODEL_ZOO)
+    def test_name_of_agrees_with_a_scan(self, model):
+        for name, perm in model.group.items():
+            assert model.name_of(dict(perm)) == next(n for n, p in model.group.items() if p == perm) == name
+        for g, h in itertools.product(model.group, repeat=2):
+            assert model.group[model.compose_names(g, h)] == compose(model.group[g], model.group[h])
+
+    def test_name_of_keeps_the_first_name_of_a_repeated_element(self):
+        ident = {t: t for t in FOUR.embeddings}
+        model = CMFieldModel(FOUR.embeddings, FOUR.conj, {"one": ident, "e": dict(ident)})
+        assert model.name_of(ident) == identity_name(model) == "one"
+        assert model.inverse_name("e") == "one"
+
+    def test_name_of_rejects_a_non_member(self):
+        swap = {"t1": "t2", "t2": "t1", "c1": "c2", "c2": "c1"}
+        with pytest.raises(PreconditionError, match="not a group element"):
+            FOUR.name_of(swap)
 
     def test_zoo_is_valid_and_small(self):
         for model in MODEL_ZOO:
