@@ -20,7 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -327,6 +327,45 @@ def small_value_set() -> tuple[QValue, ...]:
     vals = [qval(s, k) for s in (1, -1) for k in range(-2, 3)]
     vals += [qval(2, 0), qval(Fraction(1, 2), 0)]
     return tuple(vals)
+
+
+def commutativity_counts(m: int, eps: int, odd_rank: bool = False) -> tuple[int, int, int]:
+    """(checked, coordinatewise, failures) over the 12^m characters of the value pool.
+
+    Position i alone fixes coordinates i and m+i of both routes, so a
+    character is coordinatewise equal exactly when the middle coordinates
+    agree and each of its values is good at its position: its front image
+    equals its unitary image and its back image the inverse of that.  The
+    coordinatewise characters are counted as a product; only the others
+    go through ``commutativity_check``, as the disjoint union over their
+    first bad position j (good values before j, a bad value at j, any
+    value after j), or all of them when the middle coordinates differ.
+    """
+    side = USide(m, odd_rank)
+    _, positions, lhs_middle, rhs_middle = _coordinate_images(side, eps)
+    pool = small_value_set()
+    if lhs_middle == rhs_middle:
+        goods, bads = [], []
+        for pos in positions:
+            split: dict[bool, list[QValue]] = {True: [], False: []}
+            for c in pool:
+                front, back, twisted, twisted_inv = _images(pos, c)
+                split[front == twisted and back == twisted_inv].append(c)
+            goods.append(split[True])
+            bads.append(split[False])
+        coordinatewise = prod(map(len, goods))
+        combos = itertools.chain.from_iterable(
+            itertools.product(*goods[:j], bads[j], *[pool] * (m - 1 - j)) for j in range(m)
+        )
+    else:
+        coordinatewise = 0
+        combos = itertools.product(pool, repeat=m)
+    failures = 0
+    for combo in combos:
+        rep = commutativity_check(UnramChar(side, combo), eps)
+        coordinatewise += rep.values_equal_as_tuples
+        failures += not rep.weyl_equivalent
+    return len(pool) ** m, coordinatewise, failures
 
 
 def sweep_commutativity(m_max: int = 4, odd_rank: bool = False):

@@ -221,6 +221,13 @@ def _names(value: Any, where: str) -> list[str]:
     return value
 
 
+def _known_keys(spec: dict, known: tuple[str, ...], where: str, noun: str) -> None:
+    """Reject the first key of ``spec`` outside ``known``, so that a misspelt key cannot fall back to a default."""
+    for key in spec:
+        if key not in known:
+            raise ScenarioError(f"{where}: unknown {noun} {key!r}")
+
+
 def _named(raw: dict, block: str) -> Iterator[tuple[str, str, dict]]:
     """(name, place, spec) for each entry of a top-level block of named objects."""
     for name, spec in _shaped(raw.get(block, {}), dict, block).items():
@@ -420,8 +427,10 @@ def parse_scenario(path: str) -> Scenario:
             characters[name] = {"pairs": pairs, "kappa": _int(spec.get("kappa", 0), f"{where}.kappa")}
 
         opts_raw = _shaped(raw.get("options", {}), dict, "options")
+        _known_keys(opts_raw, (*STRING_OPTIONS, "sweep"), "options", "key")
         sweep_raw = _shaped(opts_raw.get("sweep", {}), dict, "options.sweep")
         sweep_keys = ("count", *(f.name for f in fields(SweepBounds)))
+        _known_keys(sweep_raw, sweep_keys, "options.sweep", "key")
         sweep = {key: _int(sweep_raw[key], f"options.sweep.{key}") for key in sweep_keys if key in sweep_raw}
         count = sweep.pop("count", 200)
         strings = {key: opts_raw.get(key, option.default) for key, option in STRING_OPTIONS.items()}
@@ -440,6 +449,7 @@ def parse_scenario(path: str) -> Scenario:
             kind = _shaped(chk, dict, f"checks[{idx}]").get("kind")
             if kind not in CHECK_KINDS:
                 raise ScenarioError(f"checks[{idx}]: unknown kind {kind!r}")
+            _known_keys(chk, ("id", "kind", *CHECK_FIELDS[kind]), f"checks[{idx}]", "field")
             values = _check_fields(chk, kind, f"checks[{idx}]", blocks)
             check_id = chk.get("id", f"{kind}-{idx}")
             if not isinstance(check_id, str) or not check_id:
@@ -632,12 +642,9 @@ def _run_compare(scn: Scenario, chk: dict) -> Outcome:
 
 def _run_basechange(scn: Scenario, chk: dict) -> Outcome:
     m_max = chk["m_max"]
-    total = failures = coordinatewise = 0
-    for rep in bc.sweep_commutativity(m_max, odd_rank=chk["odd_rank"]):
-        total += 1
-        coordinatewise += rep.values_equal_as_tuples
-        if not rep.weyl_equivalent:
-            failures += 1
+    total, coordinatewise, failures = map(sum, zip(*(
+        bc.commutativity_counts(m, eps, chk["odd_rank"]) for m in range(1, m_max + 1) for eps in (1, -1)
+    )))
     details: dict[str, Any] = {
         "checked": total,
         "failures": failures,

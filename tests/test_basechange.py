@@ -15,6 +15,7 @@ from cmperiods.basechange import (
     UnramChar,
     base_change,
     commutativity_check,
+    commutativity_counts,
     galois_twist,
     linear_modulus_exponents,
     qval,
@@ -336,3 +337,83 @@ class TestCommutativity:
         reversed_reading = exps + tuple(-e for e in reversed(exps))
         assert reversed_reading == linear_modulus_exponents(4)
         assert twist_pattern_via_base_change(side) != reversed_reading
+
+
+def enumerated_counts(m, eps, odd):
+    """(checked, coordinatewise, failures) from every character of the pool, one check each."""
+    side = USide(m, odd)
+    reports = [commutativity_check(UnramChar(side, combo), eps)
+               for combo in itertools.product(small_value_set(), repeat=m)]
+    return (len(reports), sum(r.values_equal_as_tuples for r in reports),
+            sum(not r.weyl_equivalent for r in reports))
+
+
+CASES = [(m, eps, odd) for odd in (False, True) for m in range(1, 5) for eps in (1, -1)]
+# The mutants fail up to every character, each through the orbit
+# comparison, so they stop at half-rank 3.
+MUTANT_CASES = [case for case in CASES if case[0] <= 3]
+
+
+def failures_on_both_paths(cases):
+    """The failures over ``cases``, after asserting that both paths give the same counts."""
+    failures = 0
+    for m, eps, odd in cases:
+        counts = commutativity_counts(m, eps, odd)
+        assert counts == enumerated_counts(m, eps, odd), (m, eps, odd)
+        failures += counts[2]
+    return failures
+
+
+def patch_images(monkeypatch, mutate):
+    """Make ``_coordinate_images`` return ``mutate`` of its result, with fresh tables."""
+    images = basechange._coordinate_images
+
+    def mutant(side, eps):
+        gl_side, positions, lhs_middle, rhs_middle = images(side, eps)
+        positions = tuple(p._replace(table={}) for p in positions)
+        return mutate(gl_side, positions, lhs_middle, rhs_middle)
+
+    monkeypatch.setattr(basechange, "_coordinate_images", mutant)
+
+
+class TestFactoredCounts:
+    def test_matches_enumeration(self):
+        assert failures_on_both_paths(CASES) == 0
+        assert all(commutativity_counts(m, eps, odd) == (12**m, 12**m, 0) for m, eps, odd in CASES)
+
+    # Each mutant breaks the square on some characters; the factored
+    # counts must find the same failures as the enumeration.
+
+    def test_unitary_factor_negated_at_one_position(self, monkeypatch):
+        def mutate(gl_side, positions, lhs_middle, rhs_middle):
+            if len(positions) > 1:
+                p = positions[1]
+                positions = positions[:1] + (p._replace(unitary=p.unitary * qval(-1)),) + positions[2:]
+            return gl_side, positions, lhs_middle, rhs_middle
+
+        patch_images(monkeypatch, mutate)
+        assert failures_on_both_paths(MUTANT_CASES) == 4 * sum(12**m for m in range(2, 4))
+
+    def test_back_image_left_uninverted(self, monkeypatch):
+        images = basechange._images
+
+        def mutant(pos, c):
+            front, back, twisted, twisted_inv = images(pos, c)
+            if c == qval(2) and pos.front == qval(-1):
+                back = c * pos.back
+            return front, back, twisted, twisted_inv
+
+        monkeypatch.setattr(basechange, "_images", mutant)
+        # Only even rank with eps = -1 has a front factor -1; every
+        # character with a 2 somewhere fails.
+        assert failures_on_both_paths(MUTANT_CASES) == sum(12**m - 11**m for m in range(1, 4))
+
+    def test_odd_rank_middle_negated(self, monkeypatch):
+        def mutate(gl_side, positions, lhs_middle, rhs_middle):
+            return gl_side, positions, tuple(c * qval(-1) for c in lhs_middle), rhs_middle
+
+        patch_images(monkeypatch, mutate)
+        odd_cases = [case for case in MUTANT_CASES if case[2]]
+        assert failures_on_both_paths(odd_cases) == 2 * sum(12**m for m in range(1, 4))
+        assert all(commutativity_counts(m, eps, odd)[1] == 0 for m, eps, odd in odd_cases)
+        assert failures_on_both_paths([case for case in MUTANT_CASES if not case[2]]) == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cmperiods import cmfield, scenario
+from cmperiods import basechange, cmfield, scenario
 from cmperiods.cli import EXPLANATIONS, main
 from cmperiods.cmfield import EmbFamilyModel, conjugate_cm_type
 from cmperiods.errors import ScenarioError
@@ -440,6 +440,30 @@ class TestParsing:
         assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
+        "where, key, message",
+        [
+            (("checks", 6), "mmax", "checks[6]: unknown field 'mmax'"),
+            # A field of another kind: ephi reads none.
+            (("checks", 0), "m_max", "checks[0]: unknown field 'm_max'"),
+            (("options",), "lvl", "options: unknown key 'lvl'"),
+            # The seed is a top-level key, not an option.
+            (("options",), "seed", "options: unknown key 'seed'"),
+            (("options", "sweep"), "cnt", "options.sweep: unknown key 'cnt'"),
+        ],
+    )
+    def test_unknown_keys_exit_two(self, tmp_path, capsys, where, key, message):
+        # A misspelt key would otherwise leave its field at the default.
+        payload = copy.deepcopy(DEMO_DOC)
+        parent = payload
+        for step in where:
+            parent = parent[step]
+        parent[key] = 1
+        assert main(["check", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
         "value",
         [[1, 0], True, [True, 2]]
         + [pytest.param([1, 3], id="third"), pytest.param([5, 4], id="five-quarters")],
@@ -730,6 +754,27 @@ class TestMainEntry:
         doc["options"]["sweep"]["count"] = 1000
         assert main(["sweep", write(tmp_path, doc), "--seed", "41", *options]) == rc
         assert capsys.readouterr().out == (Path(__file__).parent / "data" / recorded).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("witness, checks", [(True, 1), (False, 0)])
+    def test_basechange_check_enumerates_no_passing_character(self, tmp_path, monkeypatch, witness, checks):
+        # Every character of the pool passes, so the counts come from the
+        # per-position facts and only the witness is checked.
+        calls = {"commutativity_check": 0, "weyl_equivalent": 0}
+        for name in calls:
+            original = getattr(basechange, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(basechange, name, counted)
+        payload = dict(MINIMAL, checks=[{"kind": "basechange", "m_max": 4, "witness": witness}])
+        (result,) = run_checks(parse_scenario(write(tmp_path, payload))).results
+        assert result.status == "pass" and result.details["checked"] == 2 * (12 + 12**2 + 12**3 + 12**4)
+        assert calls == {"commutativity_check": checks, "weyl_equivalent": 0}
+        calls["commutativity_check"] = 0
+        assert all(rep.values_equal_as_tuples for rep in basechange.sweep_commutativity(4))
+        assert calls == {"commutativity_check": 45_240, "weyl_equivalent": 0}
 
     def test_basechange_report_is_recorded(self, capsys):
         # Two base-change sweeps at m_max 3: odd rank without the witness,
