@@ -170,79 +170,18 @@ def _gl_side(side: USide) -> GLSide:
     return GLSide(2 * side.m + (1 if side.odd_rank else 0))
 
 
-def _bc_coords(side: USide, coords: tuple[QValue, ...]) -> tuple[QValue, ...]:
-    inv_block = tuple(map(QValue.inv, coords))
-    if side.odd_rank:
-        return coords + (ONE_VALUE,) + inv_block
-    return coords + inv_block
-
-
 def base_change(chi: UnramChar) -> UnramChar:
     """Quadratic base change on Satake data: (c_1..c_m) -> (c_1..c_m, c_1^-1..c_m^-1).
 
     For the experimental odd rank a trivial middle coordinate is inserted.
     """
-    if not isinstance(chi.side, USide):
+    side = chi.side
+    if not isinstance(side, USide):
         raise SideError("base change starts from the unitary side")
-    return UnramChar(_gl_side(chi.side), _bc_coords(chi.side, chi.coords))
+    middle = (ONE_VALUE,) if side.odd_rank else ()
+    return UnramChar(_gl_side(side), chi.coords + middle + tuple(map(QValue.inv, chi.coords)))
 
 
-# Entries each image table keeps; a value past the cap is computed but
-# not stored.  The exhaustive sweeps and the witness use the 12-value
-# pool, so they stay well below it.
-_IMAGE_TABLE_CAP = 64
-
-
-class _PositionImages(NamedTuple):
-    """Twist factors at position i and its table c -> images of c.
-
-    ``front`` and ``back`` are the linear twist at coordinates i and
-    m+i (m+1+i at odd rank), ``unitary`` the unitary twist at i.
-    """
-
-    front: QValue
-    back: QValue
-    unitary: QValue
-    table: dict
-
-
-@functools.lru_cache(maxsize=None)
-def _coordinate_images(
-    side: USide, eps: int
-) -> tuple[GLSide, tuple[_PositionImages, ...], tuple[QValue, ...], tuple[QValue, ...]]:
-    """The sign twists on a unitary side and its base-change target, split by position.
-
-    Position i of chi alone fixes coordinates i and m+i of either route of
-    the commutativity square, so each route is its front images, the
-    middle coordinate (odd rank only) and its back images.  Returns the
-    target side, one ``_PositionImages`` per position, and the lhs and rhs
-    middle coordinates.  Positions with equal twist factors share one table.
-    """
-    u_twist, gl_twist = galois_twist(side, eps), galois_twist(_gl_side(side), eps)
-    gl = gl_twist.coords
-    back = side.m + 1 if side.odd_rank else side.m
-    tables: dict[tuple[QValue, QValue, QValue], dict] = {}
-    positions = tuple(
-        _PositionImages(*factors, tables.setdefault(factors, {}))
-        for factors in ((gl[i], gl[back + i], u_twist.coords[i]) for i in range(side.m))
-    )
-    if side.odd_rank:
-        return gl_twist.side, positions, (ONE_VALUE * gl[side.m],), (ONE_VALUE,)
-    return gl_twist.side, positions, (), ()
-
-
-def _images(pos: _PositionImages, c: QValue) -> tuple[QValue, QValue, QValue, QValue]:
-    """(c·g_i, c⁻¹·g_{m+i}, c·u_i, (c·u_i)⁻¹), from the table when stored."""
-    images = pos.table.get(c)
-    if images is None:
-        twisted = c * pos.unitary
-        images = (c * pos.front, c.inv() * pos.back, twisted, twisted.inv())
-        if len(pos.table) < _IMAGE_TABLE_CAP:
-            pos.table[c] = images
-    return images
-
-
-@functools.lru_cache(maxsize=None)
 def twist_pattern_via_base_change(side: USide) -> tuple[Fraction, ...]:
     """Half-modulus exponent pattern transported through the base-change formula."""
     exps = unitary_modulus_exponents(side.m, side.odd_rank)
@@ -302,12 +241,8 @@ def commutativity_check(chi: UnramChar, eps: int) -> CommutativityReport:
     side = chi.side
     if not isinstance(side, USide):
         raise SideError("commutativity check starts from the unitary side")
-    gl_side, positions, lhs_middle, rhs_middle = _coordinate_images(side, eps)
-    # lhs = BC(chi) * twist_GL and rhs = BC(chi * twist_U), assembled from
-    # each position's images so that only the two reported characters exist.
-    lhs_front, lhs_back, rhs_front, rhs_back = zip(*map(_images, positions, chi.coords))
-    lhs = UnramChar(gl_side, lhs_front + lhs_middle + lhs_back)
-    rhs = UnramChar(gl_side, rhs_front + rhs_middle + rhs_back)
+    lhs = base_change(chi) * galois_twist(_gl_side(side), eps)
+    rhs = base_change(chi * galois_twist(side, eps))
     direct, via_bc, tuples_eq, weyl_eq = _pattern_facts(side)
     values_equal = lhs.coords == rhs.coords
     return CommutativityReport(
@@ -332,25 +267,28 @@ def small_value_set() -> tuple[QValue, ...]:
 def commutativity_counts(m: int, eps: int, odd_rank: bool = False) -> tuple[int, int, int]:
     """(checked, coordinatewise, failures) over the 12^m characters of the value pool.
 
-    Position i alone fixes coordinates i and m+i of both routes, so a
-    character is coordinatewise equal exactly when the middle coordinates
-    agree and each of its values is good at its position: its front image
-    equals its unitary image and its back image the inverse of that.  The
-    coordinatewise characters are counted as a product; only the others
-    go through ``commutativity_check``, as the disjoint union over their
-    first bad position j (good values before j, a bad value at j, any
-    value after j), or all of them when the middle coordinates differ.
+    Position i of chi alone fixes coordinates i and m+i (m+1+i at odd
+    rank) of both routes, through the linear twist's factors there (front
+    and back) and the unitary twist's factor at i.  So a character is
+    coordinatewise equal exactly when the middle coordinates agree (at
+    even rank there are none; at odd rank the linear twist's middle
+    factor must be 1) and each of its values is good at its position:
+    c·front equals c·unitary and c⁻¹·back its inverse.  The coordinatewise
+    characters are counted as a product; only the others go through
+    ``commutativity_check``, as the disjoint union over their first bad
+    position j (good values before j, a bad value at j, any value after
+    j), or all of them when the middle coordinates differ.
     """
     side = USide(m, odd_rank)
-    _, positions, lhs_middle, rhs_middle = _coordinate_images(side, eps)
+    u, gl = galois_twist(side, eps).coords, galois_twist(_gl_side(side), eps).coords
     pool = small_value_set()
-    if lhs_middle == rhs_middle:
+    if not odd_rank or gl[m] == ONE_VALUE:
         goods, bads = [], []
-        for pos in positions:
+        for front, back, unitary in zip(gl, gl[m + odd_rank :], u):
             split: dict[bool, list[QValue]] = {True: [], False: []}
             for c in pool:
-                front, back, twisted, twisted_inv = _images(pos, c)
-                split[front == twisted and back == twisted_inv].append(c)
+                twisted = c * unitary
+                split[c * front == twisted and c.inv() * back == twisted.inv()].append(c)
             goods.append(split[True])
             bads.append(split[False])
         coordinatewise = prod(map(len, goods))

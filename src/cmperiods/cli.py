@@ -67,10 +67,11 @@ EXPLANATIONS = {
         "  petersson-factorization (level fgal), pairing-proportionality",
     ],
     "basechange": [
-        "Sweeps unramified unitary-side characters through both routes of",
-        "the twist/base-change square and checks linear-side Weyl",
-        "equivalence; also records the half-exponent twist patterns, which",
-        "agree only up to the Weyl group once the half-rank exceeds one.",
+        "Counts, position by position, the unramified unitary-side",
+        "characters of a 12-value pool whose two routes of the",
+        "twist/base-change square agree (coordinatewise, or else up to the",
+        "linear Weyl group), and checks the half-rank-two witness, whose",
+        "half-exponent twist patterns agree only up to the Weyl group.",
         "identities: modulus-half-exponents, base-change-on-satake-data,",
         "            twist-commutativity",
     ],

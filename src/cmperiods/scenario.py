@@ -14,7 +14,7 @@ import json
 import random
 import reprlib
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from fractions import Fraction
 from itertools import islice
@@ -70,6 +70,8 @@ from .weights import (
 
 SCENARIO_SCHEMA = "cmperiods/scenario-v1"
 REPORT_SCHEMA = "cmperiods/report-v1"
+# The top-level blocks of named entries.
+BLOCKS = ("signatures", "weights", "infinity_types", "arch_params", "characters")
 
 
 class StringOption(NamedTuple):
@@ -92,6 +94,7 @@ class CheckField(NamedTuple):
     type: str  # "name", "int", "bool" (a JSON boolean) or "pair" (a list of two integers)
     default: Any = None  # a name has none: it is required
     least: int | None = None  # an int's least value, if it has one
+    most: int | None = None  # an int's greatest value, if it has one
     block: str | None = None  # the block that must define a name
 
 
@@ -117,7 +120,7 @@ CHECK_FIELDS = {
     },
     "compare": {**_INSTANCE_FIELDS, "a0": CheckField("int", 0)},
     "basechange": {
-        "m_max": CheckField("int", 3, least=1),
+        "m_max": CheckField("int", 3, least=1, most=64),
         "odd_rank": CheckField("bool", False),
         "witness": CheckField("bool", True),
     },
@@ -148,14 +151,13 @@ class Scenario:
     model: CMFieldModel
     cm_type: CMType
     family: EmbFamilyModel | None
-    # The named entries of the blocks signatures, weights, infinity_types,
-    # arch_params and characters, by block and then by name.
+    # The named entries of each block in BLOCKS, by block and then by name.
     blocks: dict[str, dict]
     checks: list[dict]
     options: Options
-    # One instance per (arch, character) pair, so checks on the same pair
-    # share its analysis.
-    instances: dict[tuple[str, str], InstanceAnalysis] = field(default_factory=dict)
+    # The analysis of each (arch, character) pair a check names, made once
+    # at parse time, so checks on the same pair share it.
+    instances: dict[tuple[str, str], InstanceAnalysis]
 
 
 def _is_int(value: Any) -> bool:
@@ -228,10 +230,17 @@ def _known_keys(spec: dict, known: tuple[str, ...], where: str, noun: str) -> No
             raise ScenarioError(f"{where}: unknown {noun} {key!r}")
 
 
-def _named(raw: dict, block: str) -> Iterator[tuple[str, str, dict]]:
-    """(name, place, spec) for each entry of a top-level block of named objects."""
+def _named(raw: dict, block: str, keys: tuple[str, ...] | None) -> Iterator[tuple[str, str, dict]]:
+    """(name, place, spec) for each entry of a top-level block of named objects.
+
+    ``keys`` are the keys an entry may have, or None where the caller checks them.
+    """
     for name, spec in _shaped(raw.get(block, {}), dict, block).items():
-        yield name, f"{block}.{name}", _shaped(spec, dict, f"{block}.{name}")
+        where = f"{block}.{name}"
+        _shaped(spec, dict, where)
+        if keys is not None:
+            _known_keys(spec, keys, where, "key")
+        yield name, where, spec
 
 
 def _embedding_keys(entries: dict, model: CMFieldModel, where: str) -> None:
@@ -259,6 +268,7 @@ BUILTIN_MODELS = {
 
 def _parse_model(spec: Any) -> CMFieldModel:
     if "builtin" in _shaped(spec, dict, "field_model"):
+        _known_keys(spec, ("builtin",), "field_model", "key")
         name = spec["builtin"]
         if name == "klein":
             return klein_model()
@@ -266,6 +276,7 @@ def _parse_model(spec: Any) -> CMFieldModel:
         if kind in BUILTIN_MODELS and arg.isdigit():
             return BUILTIN_MODELS[kind](int(arg))
         raise ScenarioError(f"unknown builtin field model {name!r}")
+    _known_keys(spec, ("embeddings", "conj", "group"), "field_model", "key")
     return CMFieldModel(
         embeddings=tuple(_names(_required(spec, "embeddings", "field_model"), "field_model.embeddings")),
         conj=dict(_member(spec, "conj", "field_model")),
@@ -274,6 +285,25 @@ def _parse_model(spec: Any) -> CMFieldModel:
             for name, perm in _member(spec, "group", "field_model").items()
         },
     )
+
+
+def _parse_family(spec: Any, model: CMFieldModel) -> EmbFamilyModel:
+    if spec == "regular":
+        return regular_family(model)
+    if "builtin" in _shaped(spec, dict, "emb_family"):
+        _known_keys(spec, ("builtin",), "emb_family", "key")
+        if spec["builtin"] != "regular":
+            raise ScenarioError(f"unknown builtin emb_family {spec['builtin']!r}")
+        return regular_family(model)
+    _known_keys(spec, ("points", "base", "action"), "emb_family", "key")
+    action = _member(spec, "action", "emb_family")
+    family = EmbFamilyModel(
+        points=tuple(_names(_required(spec, "points", "emb_family"), "emb_family.points")),
+        base=_required(spec, "base", "emb_family"),
+        action={g: dict(_shaped(p, dict, f"emb_family.action.{g}")) for g, p in action.items()},
+    )
+    family.validate(model)
+    return family
 
 
 # The blocks keyed by the places of a CM type, with each entry's keyed mapping.
@@ -295,7 +325,10 @@ def _check_value(chk: dict, name: str, spec: CheckField, where: str, blocks: dic
         ok, wanted = isinstance(value, str) and value in blocks[spec.block], f"a name defined in {spec.block}"
     elif spec.type == "int":
         ok = _is_int(value) and (spec.least is None or value >= spec.least)
+        ok = ok and (spec.most is None or value <= spec.most)
         wanted = "an integer" if spec.least is None else f"an integer >= {spec.least}"
+        if spec.most is not None:
+            wanted = f"an integer from {spec.least} to {spec.most}"
     elif spec.type == "bool":
         ok, wanted = isinstance(value, bool), "true or false"
     else:
@@ -376,6 +409,8 @@ def parse_scenario(path: str) -> Scenario:
     _shaped(raw, dict, "scenario")
     if raw.get("schema") != SCENARIO_SCHEMA:
         raise ScenarioError(f"expected schema {SCENARIO_SCHEMA!r}, got {raw.get('schema')!r}")
+    top_keys = ("schema", "seed", "field_model", "cm_type", "emb_family", *BLOCKS, "options", "checks")
+    _known_keys(raw, top_keys, "scenario", "key")
     try:
         model = _parse_model(raw.get("field_model", {"builtin": "cyclic:1"}))
         if "cm_type" in raw:
@@ -383,37 +418,27 @@ def parse_scenario(path: str) -> Scenario:
         else:
             cm_type = model.canonical_cm_type()
         cm_type.validate(model)
-        family = None
         fam_spec = raw.get("emb_family")
-        if fam_spec == {"builtin": "regular"} or fam_spec == "regular":
-            family = regular_family(model)
-        elif fam_spec is not None:
-            action = _member(_shaped(fam_spec, dict, "emb_family"), "action", "emb_family")
-            family = EmbFamilyModel(
-                points=tuple(_names(_required(fam_spec, "points", "emb_family"), "emb_family.points")),
-                base=_required(fam_spec, "base", "emb_family"),
-                action={g: dict(_shaped(p, dict, f"emb_family.action.{g}")) for g, p in action.items()},
-            )
-            family.validate(model)
+        family = None if fam_spec is None else _parse_family(fam_spec, model)
 
-        blocks = {block: {} for block in ("signatures", "weights", "infinity_types", "arch_params", "characters")}
+        blocks = {block: {} for block in BLOCKS}
         signatures, weight_params, infinity_types, arch_params, characters = blocks.values()
-        for name, where, spec in _named(raw, "signatures"):
+        for name, where, spec in _named(raw, "signatures", ("n", "pairs")):
             pairs = _per_place(spec, "pairs", model, where, _int_pair)
             signatures[name] = Signature(pairs, _int(_required(spec, "n", where), f"{where}.n"))
-        for name, where, spec in _named(raw, "weights"):
+        for name, where, spec in _named(raw, "weights", ("n", "a0", "entries")):
             rows = _per_place(
                 spec, "entries", model, where, lambda row, at: tuple(_int(a, at) for a in _shaped(row, list, at))
             )
             a0, n = (_int(_required(spec, key, where), f"{where}.{key}") for key in ("a0", "n"))
             weight_params[name] = WeightParam(rows, a0, n)
-        for name, where, spec in _named(raw, "infinity_types"):
+        for name, where, spec in _named(raw, "infinity_types", None):
             _embedding_keys(spec, model, where)
             for t in model.embeddings:
                 if t not in spec:
                     raise ScenarioError(f"{where}: embedding {t!r} has no exponent")
             infinity_types[name] = InfinityType({t: _int(v, f"{where}.{t}") for t, v in spec.items()}, model)
-        for name, where, spec in _named(raw, "arch_params"):
+        for name, where, spec in _named(raw, "arch_params", ("n", "entries")):
             n = _int(_required(spec, "n", where), f"{where}.n")
             doubled = {}
             for t, row in _per_place(spec, "entries", model, where).items():
@@ -422,7 +447,7 @@ def parse_scenario(path: str) -> Scenario:
                 if defect:
                     raise ScenarioError(f"{where}.{t}: doubled parameters {defect}")
             arch_params[name] = ArchParams(doubled, n, model)
-        for name, where, spec in _named(raw, "characters"):
+        for name, where, spec in _named(raw, "characters", ("pairs", "kappa")):
             pairs = _per_place(spec, "pairs", model, where, _int_pair)
             characters[name] = {"pairs": pairs, "kappa": _int(spec.get("kappa", 0), f"{where}.kappa")}
 
@@ -444,6 +469,7 @@ def parse_scenario(path: str) -> Scenario:
         _check_sweep_sizes(options)
 
         checks = []
+        instances: dict[tuple[str, str], InstanceAnalysis] = {}
         first_of: dict[str, int] = {}  # each check id, with the index of the check it names
         for idx, chk in enumerate(_shaped(raw.get("checks", []), list, "checks")):
             kind = _shaped(chk, dict, f"checks[{idx}]").get("kind")
@@ -457,6 +483,14 @@ def parse_scenario(path: str) -> Scenario:
             if check_id in first_of:
                 raise ScenarioError(f"checks[{idx}].id {check_id!r} repeats checks[{first_of[check_id]}].id")
             first_of[check_id] = idx
+            pair = values.get("arch"), values.get("character")
+            if "arch" in values and pair not in instances:
+                char = characters[pair[1]]
+                try:
+                    instances[pair] = analyze_instance(arch_params[pair[0]], char["pairs"], char["kappa"])
+                except CMPeriodsError as exc:
+                    named = f"arch {pair[0]!r} with character {pair[1]!r}"
+                    raise ScenarioError(f"checks[{idx}]: {named}: {exc}") from exc
             checks.append({"id": check_id, "kind": kind, **values})
     except ScenarioError:
         raise
@@ -465,7 +499,9 @@ def parse_scenario(path: str) -> Scenario:
     except (LookupError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
-    return Scenario(model=model, cm_type=cm_type, family=family, blocks=blocks, checks=checks, options=options)
+    return Scenario(
+        model=model, cm_type=cm_type, family=family, blocks=blocks, checks=checks, options=options, instances=instances
+    )
 
 
 @dataclass
@@ -516,11 +552,7 @@ def _mono_dict(mono) -> dict[str, int]:
 
 
 def _instance_for(scn: Scenario, chk: dict) -> InstanceAnalysis:
-    key = (chk["arch"], chk["character"])
-    if key not in scn.instances:
-        char = scn.blocks["characters"][chk["character"]]
-        scn.instances[key] = analyze_instance(scn.blocks["arch_params"][chk["arch"]], char["pairs"], char["kappa"])
-    return scn.instances[key]
+    return scn.instances[chk["arch"], chk["character"]]
 
 
 # A check runner returns (status, details, identity tags).

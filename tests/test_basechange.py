@@ -132,8 +132,8 @@ class TestCoordinateImages:
 
     def test_interleaved_sides_and_signs(self):
         # The same value goes through every position of every side under
-        # both signs, one call after another, so an image stored for one
-        # (side, sign, position) and read back for another shows up.
+        # both signs, one call after another, so a twist cached for one
+        # (side, sign) and read back for another shows up.
         pool = small_value_set() + (qval(F(-3, 7), 5), qval(F(11, 2), -3))
         for c in pool:
             for side in SIDES:
@@ -148,22 +148,6 @@ class TestCoordinateImages:
     def test_values_outside_the_pool(self, calls):
         for side, eps, coords in calls:
             assert_matches_oracle(side, eps, coords[: side.m])
-
-    def test_one_table_per_factor_triple(self):
-        for side in SIDES + [USide(4), USide(4, True)]:
-            for eps in (1, -1):
-                _, positions, _, _ = basechange._coordinate_images(side, eps)
-                triples = {(p.front, p.back, p.unitary) for p in positions}
-                assert len({id(p.table) for p in positions}) == len(triples)
-                for p, q in itertools.combinations(positions, 2):
-                    assert (p.table is q.table) == (p[:3] == q[:3])
-
-    def test_table_size_is_capped(self):
-        side = USide(1)
-        for num in range(1, 3 * basechange._IMAGE_TABLE_CAP):
-            assert_matches_oracle(side, -1, [qval(F(num, 97), num % 5)])
-        _, positions, _, _ = basechange._coordinate_images(side, -1)
-        assert len(positions[0].table) == basechange._IMAGE_TABLE_CAP
 
 
 class TestModulusExponents:
@@ -364,16 +348,17 @@ def failures_on_both_paths(cases):
     return failures
 
 
-def patch_images(monkeypatch, mutate):
-    """Make ``_coordinate_images`` return ``mutate`` of its result, with fresh tables."""
-    images = basechange._coordinate_images
+def patch_twist(monkeypatch, negated):
+    """Negate coordinate ``negated(side)`` of ``galois_twist`` on every side where it is not None."""
+    twist = basechange.galois_twist
 
     def mutant(side, eps):
-        gl_side, positions, lhs_middle, rhs_middle = images(side, eps)
-        positions = tuple(p._replace(table={}) for p in positions)
-        return mutate(gl_side, positions, lhs_middle, rhs_middle)
+        chi, i = twist(side, eps), negated(side)
+        if i is None:
+            return chi
+        return UnramChar(side, chi.coords[:i] + (chi.coords[i] * qval(-1),) + chi.coords[i + 1 :])
 
-    monkeypatch.setattr(basechange, "_coordinate_images", mutant)
+    monkeypatch.setattr(basechange, "galois_twist", mutant)
 
 
 class TestFactoredCounts:
@@ -385,34 +370,16 @@ class TestFactoredCounts:
     # counts must find the same failures as the enumeration.
 
     def test_unitary_factor_negated_at_one_position(self, monkeypatch):
-        def mutate(gl_side, positions, lhs_middle, rhs_middle):
-            if len(positions) > 1:
-                p = positions[1]
-                positions = positions[:1] + (p._replace(unitary=p.unitary * qval(-1)),) + positions[2:]
-            return gl_side, positions, lhs_middle, rhs_middle
-
-        patch_images(monkeypatch, mutate)
+        patch_twist(monkeypatch, lambda side: 1 if isinstance(side, USide) and side.m > 1 else None)
         assert failures_on_both_paths(MUTANT_CASES) == 4 * sum(12**m for m in range(2, 4))
 
-    def test_back_image_left_uninverted(self, monkeypatch):
-        images = basechange._images
-
-        def mutant(pos, c):
-            front, back, twisted, twisted_inv = images(pos, c)
-            if c == qval(2) and pos.front == qval(-1):
-                back = c * pos.back
-            return front, back, twisted, twisted_inv
-
-        monkeypatch.setattr(basechange, "_images", mutant)
-        # Only even rank with eps = -1 has a front factor -1; every
-        # character with a 2 somewhere fails.
-        assert failures_on_both_paths(MUTANT_CASES) == sum(12**m - 11**m for m in range(1, 4))
+    def test_first_back_factor_negated(self, monkeypatch):
+        # Coordinate m of an even-rank linear twist is the first of the back block.
+        patch_twist(monkeypatch, lambda side: side.n // 2 if isinstance(side, GLSide) and side.n % 2 == 0 else None)
+        assert failures_on_both_paths(MUTANT_CASES) == 2 * sum(12**m for m in range(1, 4))
 
     def test_odd_rank_middle_negated(self, monkeypatch):
-        def mutate(gl_side, positions, lhs_middle, rhs_middle):
-            return gl_side, positions, tuple(c * qval(-1) for c in lhs_middle), rhs_middle
-
-        patch_images(monkeypatch, mutate)
+        patch_twist(monkeypatch, lambda side: side.n // 2 if isinstance(side, GLSide) and side.n % 2 else None)
         odd_cases = [case for case in MUTANT_CASES if case[2]]
         assert failures_on_both_paths(odd_cases) == 2 * sum(12**m for m in range(1, 4))
         assert all(commutativity_counts(m, eps, odd)[1] == 0 for m, eps, odd in odd_cases)

@@ -407,7 +407,7 @@ class TestParsing:
                     parse_scenario(write(tmp_path, payload))
 
     def test_readme_table_lists_every_check_field(self):
-        # The "Scenario format" table: kind, field, type, least value, default.
+        # The "Scenario format" table: kind, field, type, least value, greatest value, default.
         rows = [
             [cell.replace("`", "").strip() for cell in line.strip("|").split("|")]
             for line in README.read_text(encoding="utf-8").splitlines()
@@ -416,9 +416,10 @@ class TestParsing:
 
         def cells(spec):
             if spec.type == "name":
-                return [f"name in {spec.block}", "", "required"]
+                return [f"name in {spec.block}", "", "", "required"]
             default = "none" if spec.default is None else json.dumps(spec.default)
-            return [spec.type, "" if spec.least is None else str(spec.least), default]
+            bounds = ["" if bound is None else str(bound) for bound in (spec.least, spec.most)]
+            return [spec.type, *bounds, default]
 
         expected = [
             [kind, name, *cells(spec)] for kind, specs in CHECK_FIELDS.items() for name, spec in specs.items()
@@ -449,6 +450,14 @@ class TestParsing:
             # The seed is a top-level key, not an option.
             (("options",), "seed", "options: unknown key 'seed'"),
             (("options", "sweep"), "cnt", "options.sweep: unknown key 'cnt'"),
+            # A misspelt "checks" would leave an empty, passing report.
+            ((), "chekcs", "scenario: unknown key 'chekcs'"),
+            (("characters", "eta"), "kapa", "characters.eta: unknown key 'kapa'"),
+            (("signatures", "sig"), "r", "signatures.sig: unknown key 'r'"),
+            (("weights", "mu"), "a_0", "weights.mu: unknown key 'a_0'"),
+            (("arch_params", "Pi"), "entires", "arch_params.Pi: unknown key 'entires'"),
+            (("field_model",), "extra", "field_model: unknown key 'extra'"),
+            (("emb_family",), "extra", "emb_family: unknown key 'extra'"),
         ],
     )
     def test_unknown_keys_exit_two(self, tmp_path, capsys, where, key, message):
@@ -462,6 +471,33 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("where", ["field_model", "emb_family"])
+    def test_unknown_keys_in_explicit_models_exit_two(self, tmp_path, capsys, where):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["field_model"] = {
+            "embeddings": ["t1", "c1"],
+            "conj": {"t1": "c1", "c1": "t1"},
+            "group": {"g0": {"t1": "t1", "c1": "c1"}, "g1": {"t1": "c1", "c1": "t1"}},
+        }
+        payload["emb_family"] = {
+            "points": ["g0", "g1"], "base": "g0", "action": {"g0": {"g0": "g0", "g1": "g1"}, "g1": {"g0": "g1", "g1": "g0"}},
+        }
+        assert main(["check", write(tmp_path, payload)]) == 0
+        payload[where]["extra"] = 1
+        assert main(["check", write(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == f"input error: {where}: unknown key 'extra'\n"
+
+    @pytest.mark.parametrize("m_max", [65, 10**6])
+    def test_m_max_above_64_exits_two(self, tmp_path, capsys, m_max):
+        # The bound caps what the twist and pattern caches of basechange hold.
+        assert main(["check", write(tmp_path, dict(MINIMAL, checks=[{"kind": "basechange", "m_max": 64}]))]) == 0
+        capsys.readouterr()
+        payload = dict(MINIMAL, checks=[{"kind": "basechange", "m_max": m_max}])
+        assert main(["check", write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: checks[0]: m_max must be an integer from 1 to 64, got {m_max}\n"
 
     @pytest.mark.parametrize(
         "value",
@@ -563,16 +599,22 @@ class TestReports:
         (broken,) = run_checks(scn).results
         assert broken.status == "fail" and broken.details["sharp_paths_agree"] is False
 
-    def test_check_error_captured(self, tmp_path):
+    def test_check_error_captured(self, tmp_path, capsys):
+        # A degenerate (arch, character) pair is an input error naming the
+        # first check on it, found when the scenario is parsed.
         payload = json.loads(json.dumps(MINIMAL))
         # Degenerate comparison: 2*diff - kappa + 2A = 2*2 - 0 + 2*(-2) = 0.
         payload["arch_params"]["Pi"]["entries"]["t1"] = [[-2, 1]]
         payload["characters"]["eta"] = {"pairs": {"t1": [1, -1]}, "kappa": 0}
-        report = run_checks(parse_scenario(write(tmp_path, payload)))
-        by_id = {r.check_id: r for r in report.results}
-        assert by_id["sig"].status == "error"
-        assert "Degenerate" in by_id["sig"].details["error"]
-        assert by_id["crit"].status in ("pass", "fail", "error")
+        demo = mutated(copy.deepcopy(DEMO_DOC), [(("characters", "eta", "pairs", "t2"), [3, 5])])
+        # The demo's first check, ephi, names no pair.
+        for doc, idx, place in ((payload, 0, "t1"), (demo, 1, "t2")):
+            assert main(["check", write(tmp_path, doc)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"input error: checks[{idx}]: arch 'Pi' with character 'eta': vanishing comparison at {place!r}\n"
+            )
 
 
 class TestEphiCheck:
