@@ -20,7 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -206,14 +206,12 @@ def weyl_equivalent(x: UnramChar, y: UnramChar) -> bool:
     if x.side != y.side:
         return False
     if isinstance(x.side, GLSide):
-        key = lambda c: c.sort_key()
-        return sorted(x.coords, key=key) == sorted(y.coords, key=key)
+        return sorted(x.coords, key=QValue.sort_key) == sorted(y.coords, key=QValue.sort_key)
 
     def normal(c: QValue) -> QValue:
-        return min(c, c.inv(), key=lambda v: v.sort_key())
+        return min(c, c.inv(), key=QValue.sort_key)
 
-    key = lambda c: c.sort_key()
-    return sorted(map(normal, x.coords), key=key) == sorted(map(normal, y.coords), key=key)
+    return sorted(map(normal, x.coords), key=QValue.sort_key) == sorted(map(normal, y.coords), key=QValue.sort_key)
 
 
 @dataclass(frozen=True)
@@ -264,52 +262,42 @@ def small_value_set() -> tuple[QValue, ...]:
     return tuple(vals)
 
 
+def _pool_reports(side: USide, eps: int):
+    """Yield the commutativity report of every character of the value pool on ``side``."""
+    for combo in itertools.product(small_value_set(), repeat=side.m):
+        yield commutativity_check(UnramChar(side, combo), eps)
+
+
 def commutativity_counts(m: int, eps: int, odd_rank: bool = False) -> tuple[int, int, int]:
     """(checked, coordinatewise, failures) over the 12^m characters of the value pool.
 
-    Position i of chi alone fixes coordinates i and m+i (m+1+i at odd
-    rank) of both routes, through the linear twist's factors there (front
-    and back) and the unitary twist's factor at i.  So a character is
-    coordinatewise equal exactly when the middle coordinates agree (at
-    even rank there are none; at odd rank the linear twist's middle
-    factor must be 1) and each of its values is good at its position:
-    c·front equals c·unitary and c⁻¹·back its inverse.  The coordinatewise
-    characters are counted as a product; only the others go through
-    ``commutativity_check``, as the disjoint union over their first bad
-    position j (good values before j, a bad value at j, any value after
-    j), or all of them when the middle coordinates differ.
+    Position i of chi fixes coordinates i and m+i (m+1+i at odd rank) of
+    both routes: c·front against c·unitary and c⁻¹·back against
+    (c·unitary)⁻¹, with front and back the linear twist's factors there.
+    The value c cancels, so when front equals unitary and back its
+    inverse at every position, and the middle coordinates agree (none at
+    even rank, the linear twist's middle factor 1 at odd rank), the square
+    commutes coordinatewise for every character with values r·q^{k/2},
+    not only the pool's; the pool fixes only ``checked``.  A bad position
+    is bad for every value, so then all 12^m pool characters go through
+    ``commutativity_check``.
     """
     side = USide(m, odd_rank)
     u, gl = galois_twist(side, eps).coords, galois_twist(_gl_side(side), eps).coords
-    pool = small_value_set()
-    if not odd_rank or gl[m] == ONE_VALUE:
-        goods, bads = [], []
-        for front, back, unitary in zip(gl, gl[m + odd_rank :], u):
-            split: dict[bool, list[QValue]] = {True: [], False: []}
-            for c in pool:
-                twisted = c * unitary
-                split[c * front == twisted and c.inv() * back == twisted.inv()].append(c)
-            goods.append(split[True])
-            bads.append(split[False])
-        coordinatewise = prod(map(len, goods))
-        combos = itertools.chain.from_iterable(
-            itertools.product(*goods[:j], bads[j], *[pool] * (m - 1 - j)) for j in range(m)
-        )
-    else:
-        coordinatewise = 0
-        combos = itertools.product(pool, repeat=m)
-    failures = 0
-    for combo in combos:
-        rep = commutativity_check(UnramChar(side, combo), eps)
+    checked = len(small_value_set()) ** m
+    if (not odd_rank or gl[m] == ONE_VALUE) and all(
+        front == unitary and back == unitary.inv() for front, back, unitary in zip(gl, gl[m + odd_rank :], u)
+    ):
+        return checked, checked, 0
+    coordinatewise = failures = 0
+    for rep in _pool_reports(side, eps):
         coordinatewise += rep.values_equal_as_tuples
         failures += not rep.weyl_equivalent
-    return len(pool) ** m, coordinatewise, failures
+    return checked, coordinatewise, failures
 
 
 def sweep_commutativity(m_max: int = 4, odd_rank: bool = False):
     """Yield every commutativity report over the fixed value pool up to m_max."""
     for m in range(1, m_max + 1):
-        side = USide(m, odd_rank)
         for eps in (1, -1):
-            for combo in itertools.product(small_value_set(), repeat=m):
-                yield commutativity_check(UnramChar(side, combo), eps)
+            yield from _pool_reports(USide(m, odd_rank), eps)

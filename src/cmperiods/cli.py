@@ -67,11 +67,11 @@ EXPLANATIONS = {
         "  petersson-factorization (level fgal), pairing-proportionality",
     ],
     "basechange": [
-        "Counts, position by position, the unramified unitary-side",
-        "characters of a 12-value pool whose two routes of the",
-        "twist/base-change square agree (coordinatewise, or else up to the",
-        "linear Weyl group), and checks the half-rank-two witness, whose",
-        "half-exponent twist patterns agree only up to the Weyl group.",
+        "If the three twist factors agree at every position (and the odd-rank",
+        "middle), the square commutes coordinatewise for every character",
+        "r*q^{k/2}; the pool fixes only 'checked'. A bad position sends all",
+        "12^m pool characters through the check. The half-rank-two witness's",
+        "patterns agree only as Weyl orbits.",
         "identities: modulus-half-exponents, base-change-on-satake-data,",
         "            twist-commutativity",
     ],

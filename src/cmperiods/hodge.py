@@ -268,8 +268,9 @@ class InstanceAnalysis:
     ``exp_pairs`` maps each place of the CM type to the character
     exponents (m_t, m_tbar); only their differences ``diffs`` enter any
     computation, which keeps conjugation of instances total.  The two
-    signature counts come from independent dictionaries and are kept
-    apart so that callers can compare them.
+    signature counts write one inequality two ways (with p = (w - 2A)/2,
+    2p + p' - q' - w > 0 is exactly 2d - kappa + 2A < 0), so they always
+    agree; callers compare them to guard the two transcriptions.
     """
 
     ap: ArchParams

@@ -384,3 +384,59 @@ class TestFactoredCounts:
         assert failures_on_both_paths(odd_cases) == 2 * sum(12**m for m in range(1, 4))
         assert all(commutativity_counts(m, eps, odd)[1] == 0 for m, eps, odd in odd_cases)
         assert failures_on_both_paths([case for case in MUTANT_CASES if not case[2]]) == 0
+
+
+WIDE_CASES = [(m, eps, odd) for odd in (False, True) for m in range(1, 65) for eps in (1, -1)]
+
+
+def pool_split_bad_positions(m, eps, odd):
+    """The positions no pool value passes, with "middle" for an odd-rank middle that differs.
+
+    This transcribes the per-value split ``commutativity_counts`` made
+    before it read the twist factors alone: value c is good at a position
+    when c·front == c·unitary and c⁻¹·back == (c·unitary)⁻¹.  On the way
+    it asserts that each position is good for every pool value or for
+    none, and that this agrees with front == unitary and back == unitary⁻¹.
+    """
+    pool = small_value_set()
+    u = basechange.galois_twist(USide(m, odd), eps).coords
+    gl = basechange.galois_twist(GLSide(2 * m + odd), eps).coords
+    bad = ["middle"] if odd and gl[m] != qval(1) else []
+    for i, (front, back, unitary) in enumerate(zip(gl, gl[m + odd :], u)):
+        goods = [c for c in pool if c * front == c * unitary and c.inv() * back == (c * unitary).inv()]
+        assert len(goods) in (0, len(pool)), (m, eps, odd, i)
+        assert bool(goods) == (front == unitary and back == unitary.inv()), (m, eps, odd, i)
+        if not goods:
+            bad.append(i)
+    return bad
+
+
+class TestFactorDecision:
+    def test_every_position_good_and_no_character_checked(self, monkeypatch):
+        assert all(pool_split_bad_positions(*case) == [] for case in WIDE_CASES)
+
+        def refused(*args):
+            raise AssertionError("commutativity_check called although every position is good")
+
+        monkeypatch.setattr(basechange, "commutativity_check", refused)
+        assert all(commutativity_counts(m, eps, odd) == (12**m, 12**m, 0) for m, eps, odd in WIDE_CASES)
+
+    # The mutants of TestFactoredCounts, each with the positions it makes bad.
+    @pytest.mark.parametrize(
+        "negated, bad",
+        [
+            (lambda side: 1 if isinstance(side, USide) and side.m > 1 else None,
+             lambda m, odd: [1] if m > 1 else []),
+            (lambda side: side.n // 2 if isinstance(side, GLSide) and side.n % 2 == 0 else None,
+             lambda m, odd: [] if odd else [0]),
+            (lambda side: side.n // 2 if isinstance(side, GLSide) and side.n % 2 else None,
+             lambda m, odd: ["middle"] if odd else []),
+        ],
+        ids=["unitary-factor", "first-back-factor", "odd-rank-middle"],
+    )
+    def test_mutated_position_is_bad_for_every_value(self, monkeypatch, negated, bad):
+        patch_twist(monkeypatch, negated)
+        assert all(pool_split_bad_positions(m, eps, odd) == bad(m, odd) for m, eps, odd in WIDE_CASES)
+        # A position bad for every value leaves no character coordinatewise equal.
+        assert all(commutativity_counts(m, eps, odd)[1] == (0 if bad(m, odd) else 12**m)
+                   for m, eps, odd in CASES if m <= 2)

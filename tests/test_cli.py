@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import os
 import subprocess
@@ -26,6 +27,9 @@ from cmperiods.weights import similitude_twist
 
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 README = DEMO.parents[1] / "README.md"
+# Fuzz examples share one tmp_path; overwriting a file just written is
+# far slower on some file systems than writing a new one.
+EXAMPLE_NUMBERS = itertools.count()
 
 MINIMAL = {
     "schema": "cmperiods/scenario-v1",
@@ -356,7 +360,8 @@ class TestParsing:
         )
     )
     def test_mutated_demo_parses_or_raises_scenario_error(self, tmp_path, mutations):
-        path = write(tmp_path, mutated(copy.deepcopy(DEMO_DOC), mutations))
+        payload = mutated(copy.deepcopy(DEMO_DOC), mutations)
+        path = write(tmp_path, payload, name=f"example-{next(EXAMPLE_NUMBERS)}.json")
         try:
             assert isinstance(parse_scenario(path), Scenario)
         except ScenarioError as exc:
