@@ -210,21 +210,19 @@ class Relation:
 
 @dataclass(frozen=True, eq=True)
 class RelationLattice:
-    """Declared relations at a level, and the reducers that decide membership in them.
+    """Declared relations at a level, and the one reducer that decides membership in them.
 
-    A reducer spans the relations' generators plus the extra generators a
-    difference brings.  Each is built once per set of extras and kept on
-    the lattice, so a lattice reused across comparisons builds its
-    generator universe, index and :class:`IntegerLattice` once.  The
-    result of each comparison ``(x, y)`` is kept too, so a quotient that
-    recurs on the lattice is reduced once, and so is each comparator
-    point, keyed by ``(n, signature, m)``, so a decided point is not
-    assembled again.
+    The reducer spans only the relations' own generators: a difference's
+    entry on any other generator is in no relation, so it is residual as
+    it stands or, trivial at the level, dropped.  It is built on first
+    use and kept on the lattice.  The result of each comparison
+    ``(x, y)`` is kept too, so a quotient that recurs on the lattice is
+    reduced once, and so is each comparator point, keyed by
+    ``(n, signature, m)``, so a decided point is not assembled again.
     """
 
     level: Level
     relations: tuple[Relation, ...]
-    _reducers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _results: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -235,26 +233,21 @@ class RelationLattice:
         return RelationLattice(level=self.level, relations=self.relations + extra)
 
     @functools.cached_property
-    def generators(self) -> frozenset[PeriodGenerator]:
-        return frozenset(g for r in self.relations for g, _ in r.vector.exps)
-
-    def reducer(
-        self, extra: frozenset[PeriodGenerator]
-    ) -> tuple[tuple[PeriodGenerator, ...], dict[PeriodGenerator, int], IntegerLattice]:
-        """The sorted universe of the relations' generators and ``extra``, its
-        index, and the lattice of the relations over it."""
-        found = self._reducers.get(extra)
-        if found is None:
-            universe = tuple(sorted(self.generators | extra, key=PeriodGenerator.sort_key))
-            reducer = _reduction_lattice(
-                tuple(r.vector for r in self.relations), universe, self.level
-            )
-            found = self._reducers[extra] = (
-                universe,
-                {g: i for i, g in enumerate(universe)},
-                reducer,
-            )
-        return found
+    def reducer(self) -> tuple[dict[PeriodGenerator, int], IntegerLattice]:
+        """The index of the relations' generators, in sorted order, and the
+        lattice of the relations and of the unit vectors of the generators
+        trivial at the level."""
+        gens = {g for r in self.relations for g, _ in r.vector.exps}
+        universe = tuple(sorted(gens, key=PeriodGenerator.sort_key))
+        index = {g: i for i, g in enumerate(universe)}
+        lattice = IntegerLattice(len(universe))
+        units = [((g, 1),) for g in universe if trivial_at(g, self.level)]
+        for exps in [r.vector.exps for r in self.relations] + units:
+            row = [0] * len(universe)
+            for g, e in exps:
+                row[index[g]] = e
+            lattice.add(row)
+        return index, lattice
 
 
 @functools.lru_cache(maxsize=None)
@@ -361,27 +354,6 @@ class EquivalenceResult:
     residual: PeriodMonomial
 
 
-@functools.lru_cache(maxsize=256)
-def _reduction_lattice(
-    relation_vectors: tuple[PeriodMonomial, ...],
-    universe: tuple[PeriodGenerator, ...],
-    level: Level,
-) -> IntegerLattice:
-    lat = IntegerLattice(len(universe))
-    index = {g: i for i, g in enumerate(universe)}
-    for vec in relation_vectors:
-        row = [0] * len(universe)
-        for g, e in vec.exps:
-            row[index[g]] = e
-        lat.add(row)
-    for g, i in index.items():
-        if trivial_at(g, level):
-            row = [0] * len(universe)
-            row[i] = 1
-            lat.add(row)
-    return lat
-
-
 def _quotient(x: PeriodMonomial, y: PeriodMonomial) -> dict[PeriodGenerator, int]:
     """The exponents of x / y, with any cancelled generator kept at zero."""
     acc = dict(x.exps)
@@ -395,25 +367,26 @@ def equivalent_mod(
 ) -> EquivalenceResult:
     """Decide x ~ y modulo the lattice; the residual is zero exactly on success.
 
-    Unit vectors of every generator trivial at the lattice level are
-    adjoined over the working generator universe (the relations'
-    generators and those of x / y), so parameterized trivial generators
-    are handled uniformly.  A pair already compared on ``lat`` returns
-    the kept result.
+    The entries of x / y on the relations' generators are reduced by the
+    lattice's reducer.  An entry on any other generator is residual as it
+    stands, or dropped when that generator is trivial at the lattice
+    level, so parameterized trivial generators are handled uniformly.  A
+    pair already compared on ``lat`` returns the kept result.
     """
     found = lat._results.get((x, y))
     if found is not None:
         return found
-    diff = {g: e for g, e in _quotient(x, y).items() if e}
-    universe, index, reducer = lat.reducer(frozenset(diff.keys() - lat.generators))
-    row = [0] * len(universe)
-    for g, e in diff.items():
-        row[index[g]] = e
-    residual_row = reducer.reduce(row)
-    residual = PeriodMonomial.from_dict(
-        {universe[i]: e for i, e in enumerate(residual_row) if e}
-    )
-    found = lat._results[x, y] = EquivalenceResult(equivalent=residual.is_one(), residual=residual)
+    index, reducer = lat.reducer
+    row = [0] * len(index)
+    residual: dict[PeriodGenerator, int] = {}
+    for g, e in _quotient(x, y).items():
+        if g in index:
+            row[index[g]] = e
+        elif not trivial_at(g, lat.level):
+            residual[g] = e
+    residual.update((g, e) for g, e in zip(index, reducer.reduce(row)) if e)
+    result = PeriodMonomial.from_dict(residual)
+    found = lat._results[x, y] = EquivalenceResult(equivalent=result.is_one(), residual=result)
     return found
 
 
@@ -573,8 +546,13 @@ def standard_vs_refined(
     """
     main = standard_lvalue_period(n, m, d_plus, variant=variant)
     refined = refined_lvalue_period(n, m, d_plus, a0)
-    lat = standard_relations(level).with_relations(pairing_relations(level, a0))
-    return equivalent_mod(main, refined, lat)
+    return equivalent_mod(main, refined, _pairing_lattice(level, a0))
+
+
+@functools.lru_cache(maxsize=256)
+def _pairing_lattice(level: Level, a0: int) -> RelationLattice:
+    """The standard family and the pairing relations at ``a0``, built once per key."""
+    return standard_relations(level).with_relations(pairing_relations(level, a0))
 
 
 # The end-to-end comparator.

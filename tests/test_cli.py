@@ -777,14 +777,21 @@ class TestMainEntry:
         recorded = (Path(__file__).parent / "data" / "demo_check_q_tate_off.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == recorded
 
-    def test_demo_tate_off_sweep_report_is_recorded(self, capsys):
+    @pytest.mark.parametrize(
+        "options, rc, recorded",
+        [
+            (["--tate", "off"], 1, "demo_sweep_seed7_q_tate_off.json"),
+            ([], 0, "demo_sweep_seed7_q.json"),
+        ],
+        ids=["q-tate-off", "q"],
+    )
+    def test_demo_tate_off_sweep_report_is_recorded(self, capsys, options, rc, recorded):
         # With tate off every compared point fails, and each listed failure
-        # prints the instance's half-integer parameters as Fractions.
-        assert main(["sweep", str(DEMO), "--seed", "7", "--level", "q", "--tate", "off"]) == 1
-        recorded = (Path(__file__).parent / "data" / "demo_sweep_seed7_q_tate_off.json").read_text(
-            encoding="utf-8"
-        )
-        assert capsys.readouterr().out == recorded
+        # prints the instance's half-integer parameters as Fractions.  With
+        # tate on every point closes at level Q, where cm-type-sign and
+        # disc^1/2 are not units, so the relation rows decide.
+        assert main(["sweep", str(DEMO), "--seed", "7", "--level", "q", *options]) == rc
+        assert capsys.readouterr().out == (Path(__file__).parent / "data" / recorded).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
         "options, rc, recorded",

@@ -1,6 +1,8 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,10 @@ from cmperiods.hodge import (
 )
 from cmperiods.sweeps import DEFAULT_BOUNDS, random_instance, seeded_instances
 from cmperiods.weights import Signature, WeightParam
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import oracle  # noqa: E402  (library-free answers)
 
 ONE_PAIR = cyclic_model(1)
 PHI1 = ONE_PAIR.canonical_cm_type()
@@ -465,6 +471,25 @@ class TestOnePassMatchesTheChain:
     def test_degenerate_inputs_raise_alike(self, model, rows, exp_pairs, kappa):
         ap = ArchParams(rows, 1, model)
         assert raised(one_pass, ap, exp_pairs, kappa) == raised(chain, ap, exp_pairs, kappa)
+
+    def test_window_matches_library_free_oracle(self):
+        # The window, its points and the admissible points, against answers
+        # computed without the library, on seeded draws re-analysed on every
+        # builtin model with every conjugate.
+        draws = list(seeded_instances(random.Random(23), 400, DEFAULT_BOUNDS))
+        checked = 0
+        for model in BUILTIN_MODELS:
+            same_degree = (inst for inst in draws if inst.model.degree_plus == model.degree_plus)
+            for inst in islice(same_degree, 8):
+                base = analyze_instance(ArchParams(inst.ap.doubled, inst.ap.n, model), inst.exp_pairs, inst.kappa)
+                for a in [base, *(base.conjugated(g) for g in sorted(model.group))]:
+                    datum = (a.ap.doubled, a.exp_pairs, a.kappa, a.ap.n)
+                    lo, hi = oracle.critical_window(*datum)
+                    assert (a.window.lo, a.window.hi) == (lo, hi)
+                    assert list(a.window.points()) == list(range(lo + 1, hi + 1))
+                    assert list(a.admissible) == oracle.admissible_points(*datum)
+                    checked += 1
+        assert checked == sum(8 * (1 + len(model.group)) for model in BUILTIN_MODELS)
 
     def test_character_on_other_places(self):
         # Both place sets are CM types, so the chain gets as far as a missing place.

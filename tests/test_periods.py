@@ -211,25 +211,43 @@ class TestEquivalence:
                 assert equivalent_mod(x, z, lat).equivalent
 
 
-# Generators in no standard relation; both sort before every relation generator.
-OUTSIDE_POOL = [arch_zeta(3), auto_period("Pi", (("t1", 1),))]
+# Generators in none of the oracle's lattices' relations, trivial at FGAL
+# (arch_zeta) and at no level; they sort before and among the relations' own.
+OUTSIDE_POOL = [arch_zeta(3), auto_period("Pi", (("t1", 1),)), motivic_q("Pi", 1, "t1"), opaque("y")]
+
+# The Q family at each level: at FGAL only the reducer's unit rows make its
+# generators trivial, where the standard family also declares them trivial.
+Q_FAMILY = {level: RelationLattice(level=level, relations=standard_relations(Level.Q).relations) for level in Level}
+
+# The lattices the oracle draws from, at a level: those two families, the
+# tate-off comparator over cyclic:2 and the pairing lattice at a0 = 3.
+ORACLE_LATTICES = {
+    "standard": standard_relations,
+    "q-family": Q_FAMILY.__getitem__,
+    "comparator-tate-off": lambda level: periods._comparator_lattice(level, None, (("t1", "c1"), ("t2", "c2"))),
+    "pairing": lambda level: periods._pairing_lattice(level, 3),
+}
 
 
 @st.composite
 def differences(draw):
-    """Two monomials over GEN_POOL, whose quotient may hold OUTSIDE_POOL generators."""
-    pool = st.sampled_from(GEN_POOL + OUTSIDE_POOL)
+    """A lattice, and two monomials over its relations' generators, GEN_POOL
+    and OUTSIDE_POOL."""
+    lat = ORACLE_LATTICES[draw(st.sampled_from(sorted(ORACLE_LATTICES)))](draw(st.sampled_from(list(Level))))
+    own = [g for r in lat.relations for g in r.vector.generators()]
+    pool = st.sampled_from(list(dict.fromkeys(own + GEN_POOL + OUTSIDE_POOL)))
     x = draw(st.dictionaries(pool, st.integers(-6, 6), max_size=5))
     y = draw(st.dictionaries(pool, st.integers(-6, 6), max_size=5))
-    return PeriodMonomial.from_dict(x), PeriodMonomial.from_dict(y)
+    return lat, PeriodMonomial.from_dict(x), PeriodMonomial.from_dict(y)
 
 
 class TestEquivalenceOracle:
     @settings(max_examples=300, deadline=None)
-    @given(differences(), st.sampled_from(list(Level)))
-    def test_residual_matches_fresh_reduction(self, xy, level):
-        x, y = xy
-        lat = standard_relations(level)  # shared, so its kept reducers are reused
+    @given(differences())
+    def test_residual_matches_fresh_reduction(self, lxy):
+        # The oracle reduces over the relations' generators and the
+        # difference's, with a unit vector for each one trivial at the level.
+        lat, x, y = lxy  # shared, so its reducer is reused
         diff = {g: x.exponent(g) - y.exponent(g) for g in set(x.generators()) | set(y.generators())}
         diff = {g: e for g, e in diff.items() if e}
         gens = set(diff)
@@ -240,7 +258,7 @@ class TestEquivalenceOracle:
         for r in lat.relations:
             fresh.add([r.vector.exponent(g) for g in universe])
         for i, g in enumerate(universe):
-            if trivial_at(g, level):
+            if trivial_at(g, lat.level):
                 fresh.add([int(i == j) for j in range(len(universe))])
         reduced = fresh.reduce([diff.get(g, 0) for g in universe])
         expected = PeriodMonomial.from_dict(dict(zip(universe, reduced)))
@@ -604,6 +622,25 @@ class TestKeptPoints:
 
 
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
+
+
+def test_demo_sweep_builds_one_reducer_per_lattice(monkeypatch, capsys):
+    # However many generators outside its relations the differences bring,
+    # a relation lattice builds one IntegerLattice.
+    for cached in (periods.standard_relations, periods._comparator_lattice, periods._pairing_lattice):
+        cached.cache_clear()
+    built = []
+    init = IntegerLattice.__init__
+
+    def counted_init(self, dimension):
+        built.append(dimension)
+        init(self, dimension)
+
+    monkeypatch.setattr(IntegerLattice, "__init__", counted_init)
+    calls = spy_on_equivalent_mod(monkeypatch)
+    assert main(["sweep", str(DEMO), "--seed", "7", "--level", "q", "--tate", "off"]) == 1
+    capsys.readouterr()
+    assert len(built) == len({id(lat) for lat, _, _ in calls}) == 3
 
 
 def test_demo_sweep_builds_no_hodge_data_and_reduces_each_difference_once(monkeypatch, capsys):
