@@ -14,10 +14,12 @@ from .scenario import CHECK_KINDS, STRING_OPTIONS, emit_report, parse_scenario, 
 
 EXPLANATIONS = {
     "critical": [
-        "Builds the tensor Hodge data of the rank-n datum with the rank-1",
-        "character datum, collects its exponent set T and weight w, and",
-        "returns the window (max{p in T : p < w/2}, min{p in T : p > w/2}]",
-        "of critical integers.  The middle exponent w/2 must not occur.",
+        "Reads the exponent set T and weight w of the tensor of the rank-n",
+        "datum with the rank-1 character off the doubled parameter rows and",
+        "the character's exponent differences m_t - m_tbar, building no",
+        "HodgeData, and returns the window (max{p in T : p < w/2},",
+        "min{p in T : p > w/2}] of critical integers.  The middle exponent",
+        "w/2 must not occur.",
         "identities: critical-window",
     ],
     "signature": [

@@ -1,9 +1,20 @@
 """Exact membership in integer lattices of exponent vectors.
 
-Rows are kept in a gcd-pivoted row-echelon form (a Hermite-style basis),
-built incrementally with extended-gcd row operations.  Membership of a
-vector is decided by greedy reduction against the pivots; the leftover
-after reduction is the canonical residual, zero exactly on members.
+Rows are kept in row-echelon form with positive pivots, keyed by their
+pivot column in increasing order, and built incrementally with
+extended-gcd row operations.  Membership of a vector is decided by
+greedy floor reduction against the pivots, left to right, which leaves
+``0 <= r[j] < pivot`` at each pivot column j; the leftover is the
+canonical residual, zero exactly on members.
+
+No back-reduction of the entries above the pivots is needed.  The pivot
+at column j is the gcd of the j-th entries of the members vanishing
+before j, so the pivots are invariants of the lattice.  Two residuals
+with their pivot entries in range differ by a member; its first nonzero
+coefficient over the basis, at pivot j, would make their j-th entries
+differ by a nonzero multiple of that pivot, which two entries in
+``[0, pivot)`` cannot.  So the floor-reduced residual is unique,
+whatever the basis holds above its pivots.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ class IntegerLattice:
 
     def __init__(self, dimension: int):
         self.n = dimension
-        self.rows: list[list[int]] = []  # echelon rows, pivot columns increasing
+        self.rows: dict[int, list[int]] = {}  # echelon rows by pivot column, increasing
 
     def _checked(self, vec: list[int]) -> list[int]:
         if len(vec) != self.n:
@@ -40,28 +51,15 @@ class IntegerLattice:
 
     def add(self, vec: list[int]) -> None:
         v = self._checked(vec)
-        while any(v):
-            j = next(i for i, x in enumerate(v) if x)
-            # Mix only with the row pivoted exactly at the leading column of v;
-            # both vectors vanish before j, so columns < j stay untouched.
-            row = None
-            for r in self.rows:
-                lead = next(i for i, x in enumerate(r) if x)
-                if lead == j:
-                    row = r
-                    break
-                if lead > j:
-                    break
+        for j in range(self.n):
+            if not v[j]:
+                continue
+            # v vanishes before j, and so does the row pivoted at j, if any:
+            # mixing the two leaves columns < j untouched.
+            row = self.rows.get(j)
             if row is None:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                where = 0
-                while where < len(self.rows) and next(
-                    i for i, x in enumerate(self.rows[where]) if x
-                ) < j:
-                    where += 1
-                self.rows.insert(where, v)
-                self._normalize()
+                self.rows[j] = v if v[j] > 0 else [-x for x in v]
+                self.rows = dict(sorted(self.rows.items()))
                 return
             a, b = row[j], v[j]
             if b % a == 0:
@@ -75,25 +73,11 @@ class IntegerLattice:
                     ri, vi = row[i], v[i]
                     row[i] = x * ri + y * vi
                     v[i] = -bg * ri + ag * vi
-        self._normalize()
-
-    def _normalize(self) -> None:
-        # Back-reduce entries above each pivot into [0, pivot), sweeping
-        # pivots left to right so later columns are cleaned last.
-        for k in range(len(self.rows)):
-            row = self.rows[k]
-            j = next(i for i, x in enumerate(row) if x)
-            for upper in self.rows[:k]:
-                q = upper[j] // row[j]
-                if q:
-                    for i in range(j, self.n):
-                        upper[i] -= q * row[i]
 
     def reduce(self, vec: list[int]) -> list[int]:
         """Canonical representative of vec modulo the lattice."""
         v = self._checked(vec)
-        for row in self.rows:
-            j = next(i for i, x in enumerate(row) if x)
+        for j, row in self.rows.items():
             q = v[j] // row[j]  # floor; pivots are positive, so 0 <= remainder < pivot
             if q:
                 for i in range(j, self.n):

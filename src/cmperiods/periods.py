@@ -2,9 +2,9 @@
 
 Every multiplicative period identity in scope is mechanized the same way:
 both sides become integer exponent vectors over a declared generator set,
-and equivalence up to a rationality level means the difference vector
-lies in the integer lattice spanned by the declared relations plus the
-unit vectors of generators trivial at that level.  Square-root
+and equivalence up to a rationality level means the difference vector,
+with the generators trivial at that level projected out, lies in the
+integer lattice spanned by the declared relations.  Square-root
 granularity is built in for 2*pi*i and the discriminant so that every
 half-integer exponent in the printed formulas is an integer internally.
 """
@@ -212,12 +212,13 @@ class Relation:
 class RelationLattice:
     """Declared relations at a level, and the one reducer that decides membership in them.
 
-    The reducer spans only the relations' own generators: a difference's
-    entry on any other generator is in no relation, so it is residual as
-    it stands or, trivial at the level, dropped.  It is built on first
-    use and kept on the lattice.  The result of each comparison
-    ``(x, y)`` is kept too, so a quotient that recurs on the lattice is
-    reduced once, and so is each comparator point, keyed by
+    The generators trivial at the level are projected out, not spanned by
+    unit rows, so the reducer spans only the relations' other generators.
+    A difference's entry on a trivial generator is dropped, and one on a
+    generator in no relation is residual as it stands.  The reducer is
+    built on first use and kept on the lattice.  The result of each
+    comparison ``(x, y)`` is kept too, so a quotient that recurs on the
+    lattice is reduced once, and so is each comparator point, keyed by
     ``(n, signature, m)``, so a decided point is not assembled again.
     """
 
@@ -234,19 +235,17 @@ class RelationLattice:
 
     @functools.cached_property
     def reducer(self) -> tuple[dict[PeriodGenerator, int], IntegerLattice]:
-        """The index of the relations' generators, in sorted order, and the
-        lattice of the relations and of the unit vectors of the generators
-        trivial at the level."""
-        gens = {g for r in self.relations for g, _ in r.vector.exps}
+        """The index of the relations' generators not trivial at the level,
+        in sorted order, and the lattice of the relations projected onto
+        them, one row per relation."""
+        level = self.level
+        gens = {g for r in self.relations for g, _ in r.vector.exps if not trivial_at(g, level)}
         universe = tuple(sorted(gens, key=PeriodGenerator.sort_key))
         index = {g: i for i, g in enumerate(universe)}
         lattice = IntegerLattice(len(universe))
-        units = [((g, 1),) for g in universe if trivial_at(g, self.level)]
-        for exps in [r.vector.exps for r in self.relations] + units:
-            row = [0] * len(universe)
-            for g, e in exps:
-                row[index[g]] = e
-            lattice.add(row)
+        for r in self.relations:
+            exps = dict(r.vector.exps)
+            lattice.add([exps.get(g, 0) for g in universe])
         return index, lattice
 
 
@@ -367,11 +366,11 @@ def equivalent_mod(
 ) -> EquivalenceResult:
     """Decide x ~ y modulo the lattice; the residual is zero exactly on success.
 
-    The entries of x / y on the relations' generators are reduced by the
-    lattice's reducer.  An entry on any other generator is residual as it
-    stands, or dropped when that generator is trivial at the lattice
-    level, so parameterized trivial generators are handled uniformly.  A
-    pair already compared on ``lat`` returns the kept result.
+    An entry of x / y on a generator trivial at the lattice level is
+    dropped, whether or not a relation names it.  The entries on the
+    reducer's generators are reduced by it, and an entry on any other
+    generator is residual as it stands.  A pair already compared on
+    ``lat`` returns the kept result.
     """
     found = lat._results.get((x, y))
     if found is not None:

@@ -121,3 +121,27 @@ def test_wrong_length_vector_rejected(method):
     lat.add([1, 2, 3])
     with pytest.raises(PreconditionError):
         getattr(lat, method)([1, 2])
+
+
+def lattice_of(dim, rows):
+    lat = IntegerLattice(dim)
+    for row in rows:
+        lat.add(list(row))
+    return lat
+
+
+def test_reduce_returns_the_canonical_residual():
+    # The residual is a function of the coset alone: adding a member does
+    # not move it, and neither does the order in which the rows were added.
+    rng = random.Random(26)
+    for _ in range(400):
+        dim = rng.randint(1, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(rng.randint(1, 6))]
+        lat = lattice_of(dim, rows)
+        shuffled = lattice_of(dim, rng.sample(rows, len(rows)))
+        vec = [rng.randint(-20, 20) for _ in range(dim)]
+        coeffs = [rng.randint(-4, 4) for _ in rows]
+        member = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(dim)]
+        residual = lat.reduce(vec)
+        assert lat.reduce([a + b for a, b in zip(vec, member)]) == residual, (rows, vec, coeffs)
+        assert shuffled.reduce(vec) == residual, (rows, vec)

@@ -215,7 +215,7 @@ class TestEquivalence:
 # (arch_zeta) and at no level; they sort before and among the relations' own.
 OUTSIDE_POOL = [arch_zeta(3), auto_period("Pi", (("t1", 1),)), motivic_q("Pi", 1, "t1"), opaque("y")]
 
-# The Q family at each level: at FGAL only the reducer's unit rows make its
+# The Q family at each level: at FGAL only the projection makes its
 # generators trivial, where the standard family also declares them trivial.
 Q_FAMILY = {level: RelationLattice(level=level, relations=standard_relations(Level.Q).relations) for level in Level}
 
@@ -231,14 +231,15 @@ ORACLE_LATTICES = {
 
 @st.composite
 def differences(draw):
-    """A lattice, and two monomials over its relations' generators, GEN_POOL
-    and OUTSIDE_POOL."""
-    lat = ORACLE_LATTICES[draw(st.sampled_from(sorted(ORACLE_LATTICES)))](draw(st.sampled_from(list(Level))))
+    """A lattice, two monomials over its relations' generators, GEN_POOL
+    and OUTSIDE_POOL, and the lattice of the same key at level Q."""
+    family = ORACLE_LATTICES[draw(st.sampled_from(sorted(ORACLE_LATTICES)))]
+    lat = family(draw(st.sampled_from(list(Level))))
     own = [g for r in lat.relations for g in r.vector.generators()]
     pool = st.sampled_from(list(dict.fromkeys(own + GEN_POOL + OUTSIDE_POOL)))
     x = draw(st.dictionaries(pool, st.integers(-6, 6), max_size=5))
     y = draw(st.dictionaries(pool, st.integers(-6, 6), max_size=5))
-    return lat, PeriodMonomial.from_dict(x), PeriodMonomial.from_dict(y)
+    return lat, PeriodMonomial.from_dict(x), PeriodMonomial.from_dict(y), family(Level.Q)
 
 
 class TestEquivalenceOracle:
@@ -247,7 +248,7 @@ class TestEquivalenceOracle:
     def test_residual_matches_fresh_reduction(self, lxy):
         # The oracle reduces over the relations' generators and the
         # difference's, with a unit vector for each one trivial at the level.
-        lat, x, y = lxy  # shared, so its reducer is reused
+        lat, x, y, q_lat = lxy  # shared, so its reducer is reused
         diff = {g: x.exponent(g) - y.exponent(g) for g in set(x.generators()) | set(y.generators())}
         diff = {g: e for g, e in diff.items() if e}
         gens = set(diff)
@@ -263,9 +264,16 @@ class TestEquivalenceOracle:
         reduced = fresh.reduce([diff.get(g, 0) for g in universe])
         expected = PeriodMonomial.from_dict(dict(zip(universe, reduced)))
 
-        result = equivalent_mod(x, y, lat)
-        assert result.residual == expected
-        assert result.equivalent == expected.is_one()
+        pairs = [(x, y)]
+        if lat.level is Level.FGAL:
+            # Projection is a homomorphism: each key's Q relations lie in its
+            # FGAL lattice, so the Q residual of x / y reduces to the same
+            # FGAL residual as x / y itself.
+            pairs.append((equivalent_mod(x, y, q_lat).residual, ONE))
+        for a, b in pairs:
+            result = equivalent_mod(a, b, lat)
+            assert result.residual == expected
+            assert result.equivalent == expected.is_one()
 
     def test_outside_generator_sorting_first_is_kept(self):
         auto = auto_period("Pi", (("t1", 1),))
@@ -342,6 +350,21 @@ class TestStandardSides:
         # The two residuals differ by exactly one square-root discriminant.
         gap = mono_mul(thm.residual, mono_inv(intro.residual))
         assert equivalent_mod(gap, mono((D_HALF, -1)), standard_relations(Level.Q)).equivalent
+
+    def test_fine_level_residual_is_pinned(self):
+        # The canonical residual, not only its coset: with cm-type-sign of
+        # order 2 at Q, a truncating reduction leaves its exponent at -1.
+        got = standard_vs_refined(3, 5, 1, a0=0, variant="thm", level=Level.Q).residual
+        assert got == mono(
+            (arch_zeta(5), -1),
+            (cm_period("psi", "@x"), -1),
+            (cm_period("psi^-1*alpha^-1", "@xbar"), -1),
+            (CM_TYPE_SIGN, 1),
+            (IMAG_PRODUCT, 1),
+            (Q_PI_PSI_ALPHA, 1),
+            (petersson_period("Pi"), 1),
+            (QUAD_PERIOD, -1),
+        )
 
     def test_even_rank_has_no_variant_discrepancy(self):
         thm = standard_vs_refined(4, 6, 1, a0=0, variant="thm", level=Level.Q)
