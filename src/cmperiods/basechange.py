@@ -214,8 +214,7 @@ def weyl_equivalent(x: UnramChar, y: UnramChar) -> bool:
     return sorted(map(normal, x.coords), key=QValue.sort_key) == sorted(map(normal, y.coords), key=QValue.sort_key)
 
 
-@dataclass(frozen=True)
-class CommutativityReport:
+class CommutativityReport(NamedTuple):
     """Both routes from a unitary character to a twisted linear character."""
 
     twist_then_bc: UnramChar

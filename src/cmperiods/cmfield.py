@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     IllPosedModelError,
@@ -136,8 +137,7 @@ class CMFieldModel:
             yield CMType(frozenset(choice))
 
 
-@dataclass(frozen=True, eq=True)
-class CMType:
+class CMType(NamedTuple):
     """A choice of one embedding from each conjugate pair."""
 
     members: frozenset[str]
@@ -210,8 +210,7 @@ def displacement_sign(model: CMFieldModel, phi: CMType, g: str) -> int:
     return _image_and_sign(model, phi, g)[1]
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """One CM type's sign family, its stabilizer, and where the signs move."""
 
     phi: CMType

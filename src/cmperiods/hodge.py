@@ -11,6 +11,7 @@ stored doubled, and a half-integer bound w/2 is compared as 2p with w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cmfield import CMFieldModel, CMType, pull_back
 from .errors import (
@@ -164,8 +165,7 @@ def hodge_exponents(h: HodgeData) -> tuple[int, ...]:
     return tuple(sorted({p for row in h.pairs.values() for p, _ in row}))
 
 
-@dataclass(frozen=True)
-class CriticalRange:
+class CriticalRange(NamedTuple):
     """Integers m with lo < m <= hi."""
 
     lo: int
@@ -233,8 +233,7 @@ def signature_from_hodge(m: HodgeData, m1: HodgeData, phi: CMType) -> dict[str, 
     return out
 
 
-@dataclass(frozen=True)
-class SplitIndexTable:
+class SplitIndexTable(NamedTuple):
     """Split multiplicities for a (rank n, rank 1) pair at one place."""
 
     rank_n: tuple[int, ...]  # indexed 0..n
@@ -260,8 +259,7 @@ def split_indices(n: int, count: int) -> SplitIndexTable:
     return SplitIndexTable(rank_n=rank_n, rank_1=(n - count, count))
 
 
-@dataclass(frozen=True)
-class InstanceAnalysis:
+class InstanceAnalysis(NamedTuple):
     """Everything derived from one (rank-n datum, character, kappa) instance.
 
     Built once by :func:`analyze_instance` and passed to every consumer.
@@ -371,8 +369,7 @@ def split_index_failures(analysis: InstanceAnalysis) -> list[str]:
     return failures
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Outcome of the evaluation-point inequality with the per-place upper terms."""
 
     ok: bool
@@ -411,8 +408,7 @@ def doubling_bounds_check(
     return BoundsReport(ok=ok, m=m, lower=lower, upper_terms=upper_terms, min_upper=min_upper)
 
 
-@dataclass(frozen=True)
-class CriticalBoundsReport:
+class CriticalBoundsReport(NamedTuple):
     ok: bool
     points_checked: tuple[int, ...]
     first_violation: tuple[int, str] | None

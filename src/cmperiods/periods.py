@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cmfield import CMFieldModel, CMType
 from .errors import NotCriticalError, PreconditionError
@@ -150,8 +151,7 @@ def trivial_at(gen: PeriodGenerator, level: Level) -> bool:
     return level is Level.FGAL and gen.kind in FGAL_TRIVIAL_KINDS
 
 
-@dataclass(frozen=True, eq=True)
-class PeriodMonomial:
+class PeriodMonomial(NamedTuple):
     """Finite integer exponent vector over period generators, in canonical form."""
 
     exps: tuple[tuple[PeriodGenerator, int], ...] = ()
@@ -200,8 +200,7 @@ def mono(*pairs: tuple[PeriodGenerator, int]) -> PeriodMonomial:
     return PeriodMonomial.from_dict(dict(pairs))
 
 
-@dataclass(frozen=True, eq=True)
-class Relation:
+class Relation(NamedTuple):
     """A monomial declared trivial, with its identity tag."""
 
     vector: PeriodMonomial
@@ -347,8 +346,7 @@ def pairing_relations(level: Level, a0: int) -> tuple[Relation, ...]:
     return tuple(rels)
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     equivalent: bool
     residual: PeriodMonomial
 
@@ -570,8 +568,7 @@ def _comparator_lattice(
     return standard_relations(level).with_relations(dictionary + character_relations(conj_pairs))
 
 
-@dataclass(frozen=True)
-class PointComparison:
+class PointComparison(NamedTuple):
     m: int
     equivalent: bool
     residual: PeriodMonomial
@@ -580,8 +577,7 @@ class PointComparison:
     printed_pi_exponent_integral: bool
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     points: tuple[PointComparison, ...]
     all_equivalent: bool
     vacuous: bool

@@ -14,7 +14,7 @@ import json
 import random
 import reprlib
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import islice
@@ -113,10 +113,10 @@ CHECK_FIELDS = {
         "kappa": CheckField("int", 0),
     },
     "lemma_d": {
-        "n_max": CheckField("int", 12, least=1),
-        "kappa_max": CheckField("int", 4, least=0),
-        "d_max": CheckField("int", 3, least=1),
-        "m_extra": CheckField("int", 6),
+        "n_max": CheckField("int", 12, least=1, most=64),
+        "kappa_max": CheckField("int", 4, least=0, most=16),
+        "d_max": CheckField("int", 3, least=1, most=8),
+        "m_extra": CheckField("int", 6, most=16),
     },
     "compare": {**_INSTANCE_FIELDS, "a0": CheckField("int", 0)},
     "basechange": {
@@ -146,8 +146,7 @@ class Options:
         return self.tate == "on"
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     model: CMFieldModel
     cm_type: CMType
     family: EmbFamilyModel | None
@@ -326,8 +325,11 @@ def _check_value(chk: dict, name: str, spec: CheckField, where: str, blocks: dic
     elif spec.type == "int":
         ok = _is_int(value) and (spec.least is None or value >= spec.least)
         ok = ok and (spec.most is None or value <= spec.most)
-        wanted = "an integer" if spec.least is None else f"an integer >= {spec.least}"
-        if spec.most is not None:
+        if spec.most is None:
+            wanted = "an integer" if spec.least is None else f"an integer >= {spec.least}"
+        elif spec.least is None:
+            wanted = f"an integer <= {spec.most}"
+        else:
             wanted = f"an integer from {spec.least} to {spec.most}"
     elif spec.type == "bool":
         ok, wanted = isinstance(value, bool), "true or false"
@@ -375,7 +377,7 @@ _SWEEP_MINIMA = {"count": 1, "n_max": 1, "d_max": 1, "m_max": 0, "kappa_max": 0}
 
 def _check_sweep_sizes(options: Options) -> None:
     """Reject sweep settings under which a sweep is empty or cannot draw an instance."""
-    values = {"count": options.sweep_count, **asdict(options.sweep)}
+    values = {"count": options.sweep_count, **options.sweep._asdict()}
     for key, least in _SWEEP_MINIMA.items():
         if values[key] < least:
             raise ScenarioError(f"options.sweep.{key} must be at least {least}, got {values[key]}")
@@ -454,7 +456,7 @@ def parse_scenario(path: str) -> Scenario:
         opts_raw = _shaped(raw.get("options", {}), dict, "options")
         _known_keys(opts_raw, (*STRING_OPTIONS, "sweep"), "options", "key")
         sweep_raw = _shaped(opts_raw.get("sweep", {}), dict, "options.sweep")
-        sweep_keys = ("count", *(f.name for f in fields(SweepBounds)))
+        sweep_keys = ("count", *SweepBounds._fields)
         _known_keys(sweep_raw, sweep_keys, "options.sweep", "key")
         sweep = {key: _int(sweep_raw[key], f"options.sweep.{key}") for key in sweep_keys if key in sweep_raw}
         count = sweep.pop("count", 200)
@@ -504,8 +506,7 @@ def parse_scenario(path: str) -> Scenario:
     )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     kind: str
     status: str  # pass | fail | error
@@ -513,8 +514,7 @@ class CheckResult:
     identities: tuple[str, ...] = ()
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     schema: str
     seed: int
     options: dict

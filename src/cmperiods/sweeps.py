@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .cmfield import CMFieldModel, cyclic_model
 from .hecke import InfinityType
@@ -34,8 +34,7 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class SweepBounds:
+class SweepBounds(NamedTuple):
     n_max: int = 4
     d_max: int = 3
     two_a_max: int = 15
@@ -69,7 +68,8 @@ def random_instance(rng: random.Random, bounds: SweepBounds = DEFAULT_BOUNDS) ->
     w = rng.randint(-bounds.m_max, bounds.m_max)
     lo = max(-bounds.m_max, w - bounds.m_max)
     hi = min(bounds.m_max, w + bounds.m_max)
-    allowed = [x for x in range(-bounds.two_a_max, bounds.two_a_max + 1) if (x - (n - 1)) % 2 == 0]
+    # The doubled values in [-two_a_max, two_a_max] of the parity of n - 1.
+    allowed = range(-bounds.two_a_max + (bounds.two_a_max + n - 1) % 2, bounds.two_a_max + 1, 2)
     while True:
         pairs = {}
         for t in taus:

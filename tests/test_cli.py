@@ -188,6 +188,11 @@ class TestParsing:
             ("d_max", 0),
             ("kappa_max", -1),
             ("m_extra", -20),
+            # Above the greatest value; with all four lemma_d fields at it the grid holds 176,128 points.
+            ("n_max", 65),
+            ("kappa_max", 17),
+            ("d_max", 9),
+            ("m_extra", 17),
         ],
     )
     def test_malformed_basechange_field(self, tmp_path, capsys, field, value):
