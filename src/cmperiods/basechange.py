@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
@@ -70,8 +70,7 @@ def qval(r, k: int = 0) -> QValue:
 ONE_VALUE = qval(1, 0)
 
 
-@dataclass(frozen=True, eq=True)
-class USide:
+class USide(namedtuple("USide", "m odd_rank")):
     """Rank-2m (or, experimentally, rank-2m+1) quasi-split unitary side.
 
     ``odd_rank`` opts into the odd-rank extension, whose modulus
@@ -80,39 +79,38 @@ class USide:
     and commutativity invariants.
     """
 
-    m: int
-    odd_rank: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, odd_rank: bool = False):
+        if m < 1:
             raise PreconditionError("half-rank must be at least 1")
+        return super().__new__(cls, m, odd_rank)
 
 
-@dataclass(frozen=True, eq=True)
-class GLSide:
-    n: int
+class GLSide(namedtuple("GLSide", "n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int):
+        if n < 1:
             raise PreconditionError("rank must be at least 1")
+        return super().__new__(cls, n)
 
 
 _numerator = itemgetter(0)
 
 
-@dataclass(frozen=True, eq=True)
-class UnramChar:
-    side: USide | GLSide
-    coords: tuple[QValue, ...]
+class UnramChar(namedtuple("UnramChar", "side coords")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = self.side.m if isinstance(self.side, USide) else self.side.n
-        if len(self.coords) != expected:
+    def __new__(cls, side: USide | GLSide, coords: tuple[QValue, ...]):
+        expected = side.m if isinstance(side, USide) else side.n
+        if len(coords) != expected:
             raise PreconditionError(
-                f"character needs {expected} coordinates, got {len(self.coords)}"
+                f"character needs {expected} coordinates, got {len(coords)}"
             )
-        if not all(map(_numerator, self.coords)):
+        if not all(map(_numerator, coords)):
             raise PreconditionError("character values must be nonzero")
+        return super().__new__(cls, side, coords)
 
     def __mul__(self, other: "UnramChar") -> "UnramChar":
         if self.side != other.side:

@@ -11,7 +11,7 @@ data, so no actual number fields appear anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
@@ -39,21 +39,20 @@ def _is_permutation(perm: Perm, domain: tuple[str, ...]) -> bool:
     return set(perm) == set(domain) and set(perm.values()) == set(domain)
 
 
-@dataclass(frozen=True, eq=True)
-class CMFieldModel:
+class CMFieldModel(namedtuple("CMFieldModel", "embeddings conj group")):
     """Embedding set with conjugation and a finite commuting group action.
 
     ``group`` maps element names to permutations of ``embeddings``.  The
     named identity element is looked up by its permutation; the group is
     required to be closed under composition and inverses so that
     displacement-sign families are well posed.
+
+    No ``__slots__``: the cached ``_names`` lives in the instance ``__dict__``.
     """
 
-    embeddings: tuple[str, ...]
-    conj: Perm
-    group: dict[str, Perm]
-
-    def __post_init__(self):
+    def __new__(cls, embeddings: tuple[str, ...], conj: Perm, group: dict[str, Perm]):
+        # Built first: the closure checks below read ``self._names``.
+        self = super().__new__(cls, embeddings, conj, group)
         emb = self.embeddings
         if len(set(emb)) != len(emb):
             raise InvalidModelError("duplicate embedding names")
@@ -81,6 +80,7 @@ class CMFieldModel:
         for name, perm in self.group.items():
             if self._key(invert(perm)) not in self._names:
                 raise InvalidModelError(f"group element {name!r} has no inverse in the model")
+        return self
 
     @staticmethod
     def _key(perm: Perm) -> tuple[tuple[str, str], ...]:
@@ -156,8 +156,7 @@ class CMType(NamedTuple):
         return tuple(sorted(self.members))
 
 
-@dataclass(frozen=True, eq=True)
-class EmbFamilyModel:
+class EmbFamilyModel(namedtuple("EmbFamilyModel", "points base action")):
     """A finite pointed set carrying the model group's action.
 
     Stands in for a family of coefficient-field embeddings: ``action``
@@ -166,9 +165,7 @@ class EmbFamilyModel:
     same point, and consumers must verify sign coherence explicitly.
     """
 
-    points: tuple[str, ...]
-    base: str
-    action: dict[str, Perm] = field(compare=False)
+    __slots__ = ()
 
     def validate(self, model: CMFieldModel) -> None:
         if self.base not in self.points:

@@ -9,22 +9,21 @@ the two conventions is the classic pitfall in this corner of the subject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cmfield import CMFieldModel, invert
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True, eq=True)
-class InfinityType:
+class InfinityType(namedtuple("InfinityType", "exps model")):
     """Exponent family of an algebraic Hecke character at infinity."""
 
-    exps: dict[str, int]
-    model: CMFieldModel
+    __slots__ = ()
 
-    def __post_init__(self):
-        if set(self.exps) != set(self.model.embeddings):
+    def __new__(cls, exps: dict[str, int], model: CMFieldModel):
+        if set(exps) != set(model.embeddings):
             raise PreconditionError("infinity type must assign an exponent to every embedding")
+        return super().__new__(cls, exps, model)
 
 
 def conjugate_infinity_type(t: InfinityType, g: str) -> InfinityType:

@@ -10,7 +10,7 @@ stored doubled, and a half-integer bound w/2 is compared as 2p with w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .cmfield import CMFieldModel, CMType, pull_back
@@ -37,8 +37,7 @@ def arch_row_defect(row: tuple[int, ...], n: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True, eq=True)
-class ArchParams:
+class ArchParams(namedtuple("ArchParams", "doubled n model")):
     """Strictly decreasing half-integer parameters (A_{t,1},...,A_{t,n}) per place.
 
     Stored doubled: ``doubled[t]`` holds the integers 2*A_{t,i}, which share
@@ -46,19 +45,19 @@ class ArchParams:
     The places are a CM type of ``model``.
     """
 
-    doubled: dict[str, tuple[int, ...]]
-    n: int
-    model: CMFieldModel
+    __slots__ = ()
 
-    def __post_init__(self):
-        for t, row in self.doubled.items():
-            defect = arch_row_defect(row, self.n)
+    def __new__(cls, doubled: dict[str, tuple[int, ...]], n: int, model: CMFieldModel):
+        for t, row in doubled.items():
+            defect = arch_row_defect(row, n)
             if defect:
                 raise PreconditionError(f"doubled parameters at {t!r} {defect}")
+        self = super().__new__(cls, doubled, n, model)
         try:
-            self.phi().validate(self.model)
+            self.phi().validate(model)
         except InvalidCMTypeError as exc:
-            raise PreconditionError(f"ArchParams places {sorted(self.doubled)} are not a CM type: {exc}") from None
+            raise PreconditionError(f"ArchParams places {sorted(doubled)} are not a CM type: {exc}") from None
+        return self
 
     def phi(self) -> CMType:
         return CMType(frozenset(self.doubled))
@@ -97,24 +96,22 @@ def conjugate_arch_params(ap: ArchParams, g: str) -> ArchParams:
     return ArchParams(pull_back(ap.model, ap.doubled, g, dual_row), ap.n, ap.model)
 
 
-@dataclass(frozen=True, eq=True)
-class HodgeData:
+class HodgeData(namedtuple("HodgeData", "n weight pairs")):
     """Per-embedding Hodge exponent pairs (p, q) with q = weight - p."""
 
-    n: int
-    weight: int
-    pairs: dict[str, tuple[tuple[int, int], ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for t, row in self.pairs.items():
-            if len(row) != self.n:
-                raise PreconditionError(f"Hodge pairs at {t!r} must have length {self.n}")
+    def __new__(cls, n: int, weight: int, pairs: dict[str, tuple[tuple[int, int], ...]]):
+        for t, row in pairs.items():
+            if len(row) != n:
+                raise PreconditionError(f"Hodge pairs at {t!r} must have length {n}")
             for p, q in row:
-                if p + q != self.weight:
+                if p + q != weight:
                     raise PreconditionError("each Hodge pair must sum to the weight")
             ps = [p for p, _ in row]
             if any(a <= b for a, b in zip(ps, ps[1:])):
                 raise PreconditionError("Hodge exponents must be strictly decreasing")
+        return super().__new__(cls, n, weight, pairs)
 
 
 def hodge_from_arch_params(ap: ArchParams) -> HodgeData:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cmfield import CMFieldModel, CMType
@@ -207,7 +206,6 @@ class Relation(NamedTuple):
     tag: str
 
 
-@dataclass(frozen=True, eq=True)
 class RelationLattice:
     """Declared relations at a level, and the one reducer that decides membership in them.
 
@@ -221,10 +219,11 @@ class RelationLattice:
     ``(n, signature, m)``, so a decided point is not assembled again.
     """
 
-    level: Level
-    relations: tuple[Relation, ...]
-    _results: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, level: Level, relations: tuple[Relation, ...]):
+        self.level = level
+        self.relations = relations
+        self._results: dict = {}
+        self._points: dict = {}
 
     def tags(self) -> tuple[str, ...]:
         return tuple(r.tag for r in self.relations)

@@ -14,10 +14,10 @@ import json
 import random
 import reprlib
 import time
-from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 from typing import Any, Iterator, NamedTuple
 
 from . import basechange as bc
@@ -129,15 +129,9 @@ CHECK_FIELDS = {
 CHECK_KINDS = tuple(CHECK_FIELDS)
 
 
-@dataclass
-class Options:
-    level: str
-    tate: str
-    d_exponent: str
-    format: str
-    seed: int
-    sweep: SweepBounds
-    sweep_count: int
+class Options(SimpleNamespace):
+    """The run options: ``level``, ``tate``, ``d_exponent``, ``format``,
+    ``seed``, ``sweep`` (a ``SweepBounds``) and ``sweep_count``."""
 
     def level_enum(self) -> Level:
         return Level.FGAL if self.level == "fgal" else Level.Q

@@ -10,7 +10,6 @@ items it checks, and returns a small stats object.  The sources here
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -44,12 +43,13 @@ class SweepBounds(NamedTuple):
 
 DEFAULT_BOUNDS = SweepBounds()
 
-_MODEL_CACHE: dict[int, CMFieldModel] = {}
+_MODEL_CACHE: dict[int, tuple[CMFieldModel, tuple[str, ...]]] = {}
 
 
-def _model(d: int) -> CMFieldModel:
+def _model(d: int) -> tuple[CMFieldModel, tuple[str, ...]]:
+    """The cyclic model of degree ``d`` and its places t1, ..., td, in order."""
     if d not in _MODEL_CACHE:
-        _MODEL_CACHE[d] = cyclic_model(d)
+        _MODEL_CACHE[d] = cyclic_model(d), tuple(f"t{i}" for i in range(1, d + 1))
     return _MODEL_CACHE[d]
 
 
@@ -62,8 +62,7 @@ def random_instance(rng: random.Random, bounds: SweepBounds = DEFAULT_BOUNDS) ->
     """
     d = rng.randint(1, bounds.d_max)
     n = rng.randint(1, bounds.n_max)
-    model = _model(d)
-    taus = [f"t{i}" for i in range(1, d + 1)]
+    model, taus = _model(d)
     kappa = rng.randint(-bounds.kappa_max, bounds.kappa_max)
     w = rng.randint(-bounds.m_max, bounds.m_max)
     lo = max(-bounds.m_max, w - bounds.m_max)
@@ -97,12 +96,10 @@ def _halved(ap: ArchParams) -> dict[str, tuple[Fraction, ...]]:
     return {t: tuple(Fraction(a, 2) for a in row) for t, row in ap.doubled.items()}
 
 
-@dataclass
 class SweepStats:
-    instances: int = 0
-    points_checked: int = 0
-    vacuous: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.instances = self.points_checked = self.vacuous = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -182,7 +179,7 @@ WeightDatum = tuple[WeightParam, InfinityType, Signature]  # dominant weight, ps
 def weight_data(rng: random.Random, n_max: int) -> Iterator[WeightDatum]:
     """Endless weight data on cyclic models of degree 1 to 3, at rank 1 to ``n_max``."""
     while True:
-        model = _model(rng.randint(1, 3))
+        model, _ = _model(rng.randint(1, 3))
         n = rng.randint(1, n_max)
         mu = random_dominant_weight(rng, model, n)
         yield mu, random_infinity_type(rng, model), random_signature(rng, model, n)

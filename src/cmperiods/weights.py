@@ -9,7 +9,7 @@ similitude twists, and conjugation by the model group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cmfield import CMFieldModel, CMType, conjugate_signature, pull_back
 from .errors import DominanceError, InvalidCMTypeError, PreconditionError
@@ -33,34 +33,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
-class WeightParam:
+class WeightParam(namedtuple("WeightParam", "entries a0 n")):
     """Tuples ((a_{t,1},...,a_{t,n}) for t in the CM type; a0)."""
 
-    entries: dict[str, tuple[int, ...]]
-    a0: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for t, row in self.entries.items():
-            if len(row) != self.n:
-                raise PreconditionError(f"entry list at {t!r} has length {len(row)} != {self.n}")
+    def __new__(cls, entries: dict[str, tuple[int, ...]], a0: int, n: int):
+        for t, row in entries.items():
+            if len(row) != n:
+                raise PreconditionError(f"entry list at {t!r} has length {len(row)} != {n}")
+        return super().__new__(cls, entries, a0, n)
 
     def row(self, t: str) -> tuple[int, ...]:
         return self.entries[t]
 
 
-@dataclass(frozen=True, eq=True)
-class Signature:
+class Signature(namedtuple("Signature", "pairs n")):
     """Pairs (r_t, s_t) with r_t + s_t equal to the rank at every place."""
 
-    pairs: dict[str, tuple[int, int]]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for t, (r, s) in self.pairs.items():
-            if r < 0 or s < 0 or r + s != self.n:
-                raise PreconditionError(f"signature at {t!r} must be nonnegative with r+s={self.n}")
+    def __new__(cls, pairs: dict[str, tuple[int, int]], n: int):
+        for t, (r, s) in pairs.items():
+            if r < 0 or s < 0 or r + s != n:
+                raise PreconditionError(f"signature at {t!r} must be nonnegative with r+s={n}")
+        return super().__new__(cls, pairs, n)
 
     def r(self, t: str) -> int:
         return self.pairs[t][0]

@@ -1,26 +1,38 @@
-"""The immutable record types: NamedTuples with the dataclass contract they replaced.
+"""The record types: tuples with the contract the dataclasses they replaced had.
 
-Each record keeps the ``Name(field=value, ...)`` repr, refuses attribute
-assignment, and (where its fields allow) hashes as its field tuple.  The
-classes still declared as dataclasses are listed with the feature each one
-needs, so a new dataclass has to state its own.
+Each record keeps the ``Name(field=value, ...)`` repr, refuses assignment
+to its fields, equals a record rebuilt from its fields, and (where its
+fields allow) hashes as its field tuple.  The validated records run their
+checks in ``__new__``, so an invalid value is refused at construction with
+the error type and message it always had.  No class of the package is a
+dataclass, and importing the command line loads neither ``dataclasses``
+nor the introspection modules it pulls in.
 """
 
 import functools
 import importlib
+import os
 import pkgutil
 import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import cmperiods
 from cmperiods import basechange as bc
-from cmperiods.cmfield import cyclic_model, displacement_sign_invariance, regular_family
+from cmperiods.cmfield import CMFieldModel, cyclic_model, displacement_sign_invariance, regular_family
+from cmperiods.errors import InvalidModelError, PreconditionError
+from cmperiods.hecke import InfinityType
 from cmperiods.hodge import (
+    ArchParams,
+    HodgeData,
     critical_points_satisfy_bounds,
     critical_range,
     doubling_bounds_check,
+    hodge_from_arch_params,
     split_indices,
     weight_from_arch_params,
 )
@@ -34,29 +46,11 @@ from cmperiods.periods import (
 )
 from cmperiods.scenario import parse_scenario, run_checks
 from cmperiods.sweeps import SweepBounds, random_instance
-from cmperiods.weights import Signature
+from cmperiods.weights import Signature, WeightParam
 
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 
-VALIDATED = "validation in __post_init__"
-# The classes that stay dataclasses, with the feature each one uses.
-DATACLASSES = {
-    "basechange.USide": VALIDATED,
-    "basechange.GLSide": VALIDATED,
-    "basechange.UnramChar": VALIDATED,
-    "cmfield.CMFieldModel": VALIDATED,
-    "hecke.InfinityType": VALIDATED,
-    "hodge.ArchParams": VALIDATED,
-    "hodge.HodgeData": VALIDATED,
-    "weights.WeightParam": VALIDATED,
-    "weights.Signature": VALIDATED,
-    "cmfield.EmbFamilyModel": "field(compare=False)",
-    "periods.RelationLattice": "field(init=False) caches and a cached_property",
-    "scenario.Options": "mutated after construction by cli.main",
-    "sweeps.SweepStats": "mutated as a sweep runs",
-}
-
-HASHABLE = {"PeriodMonomial", "Relation", "CMType", "CriticalRange"}
+HASHABLE = {"PeriodMonomial", "Relation", "CMType", "CriticalRange", "USide", "GLSide", "UnramChar"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,8 +66,9 @@ def records() -> dict:
     )
     model = cyclic_model(1)
     x = mono((TWO_PI_I_HALF, 2))
+    char = bc.UnramChar(bc.USide(1), (bc.qval(2, 1),))
     values = [
-        bc.commutativity_check(bc.UnramChar(bc.USide(1), (bc.qval(2, 1),)), -1),
+        bc.commutativity_check(char, -1),
         displacement_sign_invariance(model, regular_family(model))[0],
         next(model.cm_types()),
         critical_range((0, 3), 3),
@@ -90,6 +85,16 @@ def records() -> dict:
         report.results[0],
         report,
         scn,
+        char.side,
+        bc.GLSide(2),
+        char,
+        model,
+        scn.blocks["infinity_types"]["psi"],
+        ap,
+        hodge_from_arch_params(ap),
+        scn.blocks["weights"]["mu"],
+        sig,
+        regular_family(model),
     ]
     return {type(v).__name__: v for v in values}
 
@@ -112,6 +117,16 @@ RECORD_NAMES = [
     "CheckResult",
     "Report",
     "Scenario",
+    "USide",
+    "GLSide",
+    "UnramChar",
+    "CMFieldModel",
+    "InfinityType",
+    "ArchParams",
+    "HodgeData",
+    "WeightParam",
+    "Signature",
+    "EmbFamilyModel",
 ]
 
 
@@ -128,17 +143,79 @@ def test_record_contract(name):
         assert hash(x) == hash(tuple(x))
 
 
-def test_dataclasses_state_their_feature():
-    found = {}
+# One invalid value of each validated record, with the error it has always raised.
+REJECTED = {
+    "USide": (lambda: bc.USide(0), PreconditionError, "half-rank must be at least 1"),
+    "GLSide": (lambda: bc.GLSide(0), PreconditionError, "rank must be at least 1"),
+    "UnramChar": (
+        lambda: bc.UnramChar(bc.USide(2), (bc.qval(1),)),
+        PreconditionError,
+        "character needs 2 coordinates, got 1",
+    ),
+    # A 3-cycle on the conjugate pairs without its square: the closure check reads _names.
+    "CMFieldModel": (
+        lambda: CMFieldModel(
+            ("t1", "t2", "t3", "c1", "c2", "c3"),
+            {"t1": "c1", "t2": "c2", "t3": "c3", "c1": "t1", "c2": "t2", "c3": "t3"},
+            {
+                "e": {x: x for x in ("t1", "t2", "t3", "c1", "c2", "c3")},
+                "g": {"t1": "t2", "t2": "t3", "t3": "t1", "c1": "c2", "c2": "c3", "c3": "c1"},
+            },
+        ),
+        InvalidModelError,
+        "group is not closed under composition",
+    ),
+    "InfinityType": (
+        lambda: InfinityType({"t1": 1}, cyclic_model(1)),
+        PreconditionError,
+        "infinity type must assign an exponent to every embedding",
+    ),
+    "ArchParams": (
+        lambda: ArchParams({"t1": (2,)}, 1, cyclic_model(2)),
+        PreconditionError,
+        "ArchParams places ['t1'] are not a CM type: CM type does not cover every conjugate pair",
+    ),
+    "HodgeData": (
+        lambda: HodgeData(n=1, weight=0, pairs={"t1": ((1, 0),)}),
+        PreconditionError,
+        "each Hodge pair must sum to the weight",
+    ),
+    "WeightParam": (
+        lambda: WeightParam({"t1": (1,)}, 0, 2),
+        PreconditionError,
+        "entry list at 't1' has length 1 != 2",
+    ),
+    "Signature": (
+        lambda: Signature({"t1": (2, 0)}, 1),
+        PreconditionError,
+        "signature at 't1' must be nonnegative with r+s=1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_validated_record_rejects_invalid_value(name):
+    build, error, message = REJECTED[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_no_class_is_a_dataclass():
     for info in pkgutil.iter_modules(cmperiods.__path__):
-        if info.name == "__main__":  # importing it runs the command line
-            continue
         mod = importlib.import_module(f"cmperiods.{info.name}")
-        found.update(
-            (f"{info.name}.{name}", obj)
+        found = [
+            name
             for name, obj in vars(mod).items()
             if isinstance(obj, type) and obj.__module__ == mod.__name__ and "__dataclass_fields__" in vars(obj)
-        )
-    assert set(found) == set(DATACLASSES)
-    for name, feature in DATACLASSES.items():
-        assert feature != VALIDATED or "__post_init__" in vars(found[name]), name
+        ]
+        assert found == [], mod.__name__
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # A fresh interpreter, as every command-line call is: ``dataclasses``
+    # would pull in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, cmperiods.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"
