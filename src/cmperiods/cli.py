@@ -95,12 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--level", choices=STRING_OPTIONS["level"].values, help="rationality level")
-        p.add_argument("--tate", choices=STRING_OPTIONS["tate"].values,
-                       help="enable the conditional period dictionary")
-        p.add_argument("--d-exponent", choices=STRING_OPTIONS["d_exponent"].values,
-                       help="discriminant-exponent variant of the standard period side")
-        p.add_argument("--format", choices=STRING_OPTIONS["format"].values, help="report format")
+        for key, option in STRING_OPTIONS.items():
+            p.add_argument(f"--{key.replace('_', '-')}", choices=option.values, help=option.help)
         p.add_argument("--seed", type=int, help="seed for randomized sweeps")
 
     p_check = sub.add_parser("check", help="run the checks declared in a scenario file")

@@ -113,27 +113,23 @@ class CMFieldModel(namedtuple("CMFieldModel", "embeddings conj group")):
     def compose_names(self, outer: str, inner: str) -> str:
         return self.name_of(compose(self.element(outer), self.element(inner)))
 
-    def canonical_cm_type(self) -> "CMType":
-        """The CM type taking the first-listed member of each conjugate pair."""
-        members = []
-        seen: set[str] = set()
+    def _conjugate_pairs(self) -> list[tuple[str, str]]:
+        """Each conjugate pair once, as ``(t, conj t)`` with ``t`` its first-listed member."""
+        pairs = []
+        seen: set[str] = set()  # the second members; the embeddings are distinct
         for t in self.embeddings:
             if t not in seen:
-                members.append(t)
-                seen.add(t)
                 seen.add(self.conj[t])
-        return CMType(frozenset(members))
+                pairs.append((t, self.conj[t]))
+        return pairs
+
+    def canonical_cm_type(self) -> "CMType":
+        """The CM type taking the first-listed member of each conjugate pair."""
+        return CMType(frozenset([t for t, _ in self._conjugate_pairs()]))
 
     def cm_types(self):
         """All CM types of the model, in a deterministic order."""
-        pairs = []
-        seen = set()
-        for t in self.embeddings:
-            if t not in seen:
-                seen.add(t)
-                seen.add(self.conj[t])
-                pairs.append((t, self.conj[t]))
-        for choice in itertools.product(*pairs):
+        for choice in itertools.product(*self._conjugate_pairs()):
             yield CMType(frozenset(choice))
 
 

@@ -213,16 +213,14 @@ class RelationLattice:
     unit rows, so the reducer spans only the relations' other generators.
     A difference's entry on a trivial generator is dropped, and one on a
     generator in no relation is residual as it stands.  The reducer is
-    built on first use and kept on the lattice.  The result of each
-    comparison ``(x, y)`` is kept too, so a quotient that recurs on the
-    lattice is reduced once, and so is each comparator point, keyed by
-    ``(n, signature, m)``, so a decided point is not assembled again.
+    built on first use and kept on the lattice.  Each comparator point is
+    kept too, keyed by ``(n, signature, m)``, so a decided point is not
+    assembled or reduced again; it is the only comparison kept.
     """
 
     def __init__(self, level: Level, relations: tuple[Relation, ...]):
         self.level = level
         self.relations = relations
-        self._results: dict = {}
         self._points: dict = {}
 
     def tags(self) -> tuple[str, ...]:
@@ -358,20 +356,14 @@ def _quotient(x: PeriodMonomial, y: PeriodMonomial) -> dict[PeriodGenerator, int
     return acc
 
 
-def equivalent_mod(
-    x: PeriodMonomial, y: PeriodMonomial, lat: RelationLattice
-) -> EquivalenceResult:
+def equivalent_mod(x: PeriodMonomial, y: PeriodMonomial, lat: RelationLattice) -> EquivalenceResult:
     """Decide x ~ y modulo the lattice; the residual is zero exactly on success.
 
     An entry of x / y on a generator trivial at the lattice level is
     dropped, whether or not a relation names it.  The entries on the
     reducer's generators are reduced by it, and an entry on any other
-    generator is residual as it stands.  A pair already compared on
-    ``lat`` returns the kept result.
+    generator is residual as it stands.  Nothing is kept on ``lat``.
     """
-    found = lat._results.get((x, y))
-    if found is not None:
-        return found
     index, reducer = lat.reducer
     row = [0] * len(index)
     residual: dict[PeriodGenerator, int] = {}
@@ -382,8 +374,7 @@ def equivalent_mod(
             residual[g] = e
     residual.update((g, e) for g, e in zip(index, reducer.reduce(row)) if e)
     result = PeriodMonomial.from_dict(residual)
-    found = lat._results[x, y] = EquivalenceResult(equivalent=result.is_one(), residual=result)
-    return found
+    return EquivalenceResult(equivalent=result.is_one(), residual=result)
 
 
 # Assembled sides of the identities in scope.

@@ -77,14 +77,15 @@ BLOCKS = ("signatures", "weights", "infinity_types", "arch_params", "characters"
 class StringOption(NamedTuple):
     values: tuple[str, ...]
     default: str
+    help: str  # the command-line flag's help text
 
 
-# The string options, keyed as in a scenario's ``options`` and on the command line.
+# The string options, keyed as in a scenario's ``options`` and, with ``-`` for ``_``, on the command line.
 STRING_OPTIONS = {
-    "level": StringOption(("q", "fgal", "e"), "fgal"),
-    "tate": StringOption(("on", "off"), "on"),
-    "d_exponent": StringOption(("thm", "intro"), "thm"),
-    "format": StringOption(("structured", "text"), "structured"),
+    "level": StringOption(("q", "fgal", "e"), "fgal", "rationality level"),
+    "tate": StringOption(("on", "off"), "on", "enable the conditional period dictionary"),
+    "d_exponent": StringOption(("thm", "intro"), "thm", "discriminant-exponent variant of the standard period side"),
+    "format": StringOption(("structured", "text"), "structured", "report format"),
 }
 
 
@@ -153,13 +154,26 @@ class Scenario(NamedTuple):
     instances: dict[tuple[str, str], InstanceAnalysis]
 
 
+# Every scenario integer x has |x| < INT_BOUND, so that report integers, small multiples
+# of them or their products with the rank, stay within the 4,300 digits Python prints.
+INT_BOUND = 10**1000
+
+
 def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, int) and not isinstance(value, bool) and -INT_BOUND < value < INT_BOUND
+
+
+def _got(value: Any) -> str:
+    """``repr(value)``, but an integer past the bound, alone or in a list, is named by the bound."""
+    items = value if isinstance(value, list) else [value]
+    shown = ["an integer with |x| >= 10**1000" if isinstance(x, int) and not -INT_BOUND < x < INT_BOUND
+             else repr(x) for x in items]
+    return f"[{', '.join(shown)}]" if isinstance(value, list) else shown[0]
 
 
 def _int(value: Any, where: str) -> int:
     if not _is_int(value):
-        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+        raise ScenarioError(f"{where} must be an integer, got {_got(value)}")
     return value
 
 
@@ -169,7 +183,7 @@ def _is_pair(value: Any) -> bool:
 
 def _int_pair(value: Any, where: str) -> tuple[int, int]:
     if not _is_pair(value):
-        raise ScenarioError(f"{where} must be a list of two integers, got {value!r}")
+        raise ScenarioError(f"{where} must be a list of two integers, got {_got(value)}")
     return value[0], value[1]
 
 
@@ -330,7 +344,7 @@ def _check_value(chk: dict, name: str, spec: CheckField, where: str, blocks: dic
     else:
         ok, wanted = _is_pair(value), "a list of two integers"
     if not ok:
-        raise ScenarioError(f"{where}: {name} must be {wanted}, got {value!r}")
+        raise ScenarioError(f"{where}: {name} must be {wanted}, got {_got(value)}")
     return value
 
 
@@ -402,9 +416,11 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except (RecursionError, ValueError) as exc:  # nesting or an integer past Python's own limits
+        raise ScenarioError(f"malformed scenario: {exc}") from exc
     _shaped(raw, dict, "scenario")
     if raw.get("schema") != SCENARIO_SCHEMA:
-        raise ScenarioError(f"expected schema {SCENARIO_SCHEMA!r}, got {raw.get('schema')!r}")
+        raise ScenarioError(f"expected schema {SCENARIO_SCHEMA!r}, got {_got(raw.get('schema'))}")
     top_keys = ("schema", "seed", "field_model", "cm_type", "emb_family", *BLOCKS, "options", "checks")
     _known_keys(raw, top_keys, "scenario", "key")
     try:
@@ -458,7 +474,7 @@ def parse_scenario(path: str) -> Scenario:
         for key, value in strings.items():
             if value not in STRING_OPTIONS[key].values:
                 *others, last = map(repr, STRING_OPTIONS[key].values)
-                raise ScenarioError(f"{key} must be {', '.join(others)} or {last}, got {value!r}")
+                raise ScenarioError(f"{key} must be {', '.join(others)} or {last}, got {_got(value)}")
         options = Options(
             **strings, seed=_int(raw.get("seed", 0), "seed"), sweep=SweepBounds(**sweep), sweep_count=count
         )
@@ -475,7 +491,7 @@ def parse_scenario(path: str) -> Scenario:
             values = _check_fields(chk, kind, f"checks[{idx}]", blocks)
             check_id = chk.get("id", f"{kind}-{idx}")
             if not isinstance(check_id, str) or not check_id:
-                raise ScenarioError(f"checks[{idx}].id must be a non-empty string, got {check_id!r}")
+                raise ScenarioError(f"checks[{idx}].id must be a non-empty string, got {_got(check_id)}")
             if check_id in first_of:
                 raise ScenarioError(f"checks[{idx}].id {check_id!r} repeats checks[{first_of[check_id]}].id")
             first_of[check_id] = idx

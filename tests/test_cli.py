@@ -11,12 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmperiods import basechange, cmfield, scenario
-from cmperiods.cli import EXPLANATIONS, main
+from cmperiods.cli import EXPLANATIONS, build_parser, main
 from cmperiods.cmfield import EmbFamilyModel, conjugate_cm_type
 from cmperiods.errors import ScenarioError
 from cmperiods.scenario import (
     CHECK_FIELDS,
     CHECK_KINDS,
+    STRING_OPTIONS,
     Scenario,
     emit_report,
     parse_scenario,
@@ -678,6 +679,13 @@ def demo_identities():
     return cited
 
 
+# The demo with its compare check's a0 at 4,300 digits, the most that
+# json.load reads.
+DEMO_WITH_HUGE_A0 = dict(
+    DEMO_DOC, checks=[{**c, "a0": int("9" * 4300)} if c["kind"] == "compare" else c for c in DEMO_DOC["checks"]]
+)
+
+
 class TestMainEntry:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
@@ -696,6 +704,44 @@ class TestMainEntry:
         path.write_text("{", encoding="utf-8")
         assert main(["check", str(path)]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, options",
+        [
+            pytest.param("[" * 100000 + "]" * 100000, [], id="nesting"),
+            pytest.param('{"schema": "cmperiods/scenario-v1", "seed": ' + "9" * 5000 + "}", [], id="seed-digits"),
+            pytest.param(json.dumps(DEMO_WITH_HUGE_A0), ["--level", "q"], id="a0-digits"),
+            pytest.param(json.dumps(dict(MINIMAL, options={"level": int("9" * 4300)})), [], id="level-digits"),
+        ],
+    )
+    def test_python_limits_exit_two(self, tmp_path, capsys, text, options):
+        # Python's own limits: json.load stops at nesting past the recursion
+        # limit and at an integer past 4,300 digits, and json.dumps could not
+        # print the q-level residual -4*a0 of a 4,300-digit a0.  No message
+        # echoes an integer past the bound.
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+        assert len(captured.err) < 300  # no echoed digits
+
+    def test_scenario_integers_are_bounded(self, tmp_path, capsys):
+        assert parse_scenario(write(tmp_path, dict(MINIMAL, seed=scenario.INT_BOUND - 1))).options.seed
+        assert main(["check", write(tmp_path, dict(MINIMAL, seed=-scenario.INT_BOUND))]) == 2
+        assert capsys.readouterr().err == "input error: seed must be an integer, got an integer with |x| >= 10**1000\n"
+
+    def test_flags_are_the_string_options(self):
+        # Each string option is one flag, with its values and help, then --seed.
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for command in ("check", "sweep"):
+            flags = [a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
+            assert [(a.option_strings, a.dest, a.choices, a.help) for a in flags[:-1]] == [
+                ([f"--{key.replace('_', '-')}"], key, option.values, option.help)
+                for key, option in STRING_OPTIONS.items()
+            ]
+            assert flags[-1].option_strings == ["--seed"]
 
     def test_flag_overrides(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
