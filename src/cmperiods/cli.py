@@ -6,11 +6,17 @@ Exit codes: 0 when every check passes, 1 when any check fails or errors,
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .errors import ScenarioError
 from .scenario import CHECK_KINDS, STRING_OPTIONS, emit_report, parse_scenario, run_checks, run_sweeps
+
+if TYPE_CHECKING:
+    import argparse
+
+_FLAGS = {f"--{key.replace('_', '-')}": key for key in STRING_OPTIONS}
 
 EXPLANATIONS = {
     "critical": [
@@ -88,6 +94,8 @@ EXPLANATIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # imported here: with gettext it costs about 2 ms, which a spelled-out call skips
+
     parser = argparse.ArgumentParser(
         prog="cmperiods",
         description="Exact bookkeeping for critical L-value period identities over CM fields.",
@@ -95,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        for key, option in STRING_OPTIONS.items():
-            p.add_argument(f"--{key.replace('_', '-')}", choices=option.values, help=option.help)
+        for flag, key in _FLAGS.items():
+            p.add_argument(flag, choices=STRING_OPTIONS[key].values, help=STRING_OPTIONS[key].help)
         p.add_argument("--seed", type=int, help="seed for randomized sweeps")
 
     p_check = sub.add_parser("check", help="run the checks declared in a scenario file")
@@ -112,8 +120,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse reads from ``check|sweep <scenario> [--<flag> <value>]...``, without argparse.
+
+    None for any other argv and wherever argparse might read it otherwise: a
+    scenario starting with ``-``, a flag not spelled out in full, a value
+    outside the flag's choices, a seed not ``-``? and ASCII digits or past
+    ``int``'s 4,300 digits.
+    """
+    if len(argv) < 2 or len(argv) % 2 or argv[0] not in ("check", "sweep") or argv[1].startswith("-"):
+        return None
+    args = {"command": argv[0], "scenario": argv[1], **dict.fromkeys(STRING_OPTIONS), "seed": None}
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        digits = value.removeprefix("-")
+        if flag == "--seed" and digits.isascii() and digits.isdigit():
+            try:
+                args["seed"] = int(value)
+            except ValueError:
+                return None
+        elif flag in _FLAGS and value in STRING_OPTIONS[_FLAGS[flag]].values:
+            args[_FLAGS[flag]] = value
+        else:
+            return None
+    return SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_canonical(argv) or build_parser().parse_args(argv)
     if args.command == "explain":
         print(f"check kind: {args.check_id}")
         for line in EXPLANATIONS[args.check_id]:

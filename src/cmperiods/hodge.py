@@ -297,6 +297,10 @@ class InstanceAnalysis(NamedTuple):
         return analyze_instance(conjugate_arch_params(self.ap, g), pairs, self.kappa)
 
 
+# The most points a critical window may hold: every check walks its window point by point.
+MAX_WINDOW_POINTS = 10_000
+
+
 def analyze_instance(
     ap: ArchParams, exp_pairs: dict[str, tuple[int, int]], kappa: int
 ) -> InstanceAnalysis:
@@ -308,7 +312,8 @@ def analyze_instance(
     at the conjugate place, of weight w - kappa.  It raises what the
     public chain raises, in the same order, and a ``PreconditionError``
     where the character sits on other places than the parameters (where
-    the chain fails on a missing place).  The signature counts are
+    the chain fails on a missing place) or the window holds more than
+    ``MAX_WINDOW_POINTS`` points.  The signature counts are
     taken before the window: a middle exponent occurs exactly where a
     signature comparison vanishes, and that is reported as the vanishing
     comparison at its place.
@@ -338,6 +343,8 @@ def analyze_instance(
         counts_hodge[t] = count
     exponents = tuple(sorted(exps))
     window = critical_range(exponents, w - kappa)
+    if window.hi - window.lo > MAX_WINDOW_POINTS:
+        raise PreconditionError(f"critical window holds more than the bound of {MAX_WINDOW_POINTS} points")
     threshold = 2 * ap.n - kappa  # m is admissible when 2m exceeds it
     return InstanceAnalysis(
         ap=ap,

@@ -1,4 +1,7 @@
+import contextlib
 import copy
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -7,13 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmperiods import basechange, cmfield, scenario
-from cmperiods.cli import EXPLANATIONS, build_parser, main
+from cmperiods.cli import EXPLANATIONS, build_parser, main, read_canonical
 from cmperiods.cmfield import EmbFamilyModel, conjugate_cm_type
 from cmperiods.errors import ScenarioError
+from cmperiods.hodge import MAX_WINDOW_POINTS
 from cmperiods.scenario import (
     CHECK_FIELDS,
     CHECK_KINDS,
@@ -732,6 +736,28 @@ class TestMainEntry:
         assert main(["check", write(tmp_path, dict(MINIMAL, seed=-scenario.INT_BOUND))]) == 2
         assert capsys.readouterr().err == "input error: seed must be an integer, got an integer with |x| >= 10**1000\n"
 
+    @pytest.mark.parametrize("pair", [[1, -1000000], [1, -(10**900)]], ids=["million", "900-digits"])
+    def test_critical_window_is_bounded(self, tmp_path, capsys, pair):
+        # Every check walks its window point by point; these windows would
+        # hold about 2 * 10**6 and 2 * 10**900 points.
+        doc = copy.deepcopy(DEMO_DOC)
+        doc["characters"]["eta"]["pairs"] = dict.fromkeys(doc["characters"]["eta"]["pairs"], pair)
+        assert main(["check", write(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "input error: checks[1]: arch 'Pi' with character 'eta': critical window holds more than the bound"
+            f" of {MAX_WINDOW_POINTS} points\n",
+        )
+
+    def test_critical_window_at_the_bound_parses(self, tmp_path):
+        doc = copy.deepcopy(DEMO_DOC)
+        doc["characters"]["eta"]["pairs"] = dict.fromkeys(doc["characters"]["eta"]["pairs"], [1, -5004])
+        (window,) = {inst.window for inst in parse_scenario(write(tmp_path, doc)).instances.values()}
+        assert window.hi - window.lo == MAX_WINDOW_POINTS
+        doc["characters"]["eta"]["pairs"] = dict.fromkeys(doc["characters"]["eta"]["pairs"], [1, -5005])
+        with pytest.raises(ScenarioError, match="critical window"):
+            parse_scenario(write(tmp_path, doc))
+
     def test_flags_are_the_string_options(self):
         # Each string option is one flag, with its values and help, then --seed.
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -888,3 +914,90 @@ class TestMainEntry:
         assert main(["check", str(data / "basechange_m3.json")]) == 0
         recorded = (data / "basechange_m3_check.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == recorded
+
+
+# Words an argv is drawn from: the canonical spelling's, and the hazards
+# where argparse reads a token otherwise than a plain reading would
+# (abbreviations, ``=``, help, ``--``, Unicode digits, underscores and
+# spaces that ``int`` accepts, a seed past ``int``'s 4,300 digits).
+FLAG_WORDS = [
+    *(f"--{key.replace('_', '-')}" for key in STRING_OPTIONS), "--seed",
+    "--d_exponent", "--lev", "--level=q", "-h", "--help", "--", "-",
+]  # fmt: skip
+VALUE_WORDS = [
+    *(value for option in STRING_OPTIONS.values() for value in option.values),
+    "0", "7", "007", "-5", "-0", "--5", "-\u0663", "\u0663", "1_0", "-1_0", " 7", "+7", "9" * 4400, "-" + "9" * 4400,
+]  # fmt: skip
+ARGV_WORDS = ["check", "sweep", "explain", "lemma_d", "demo.json", *FLAG_WORDS, *VALUE_WORDS]
+CANONICAL_ARGVS = st.builds(
+    lambda command, path, pairs: [command, path, *itertools.chain.from_iterable(pairs)],
+    st.sampled_from(["check", "sweep"]),
+    st.sampled_from(["demo.json", "", "-", "--level"]),
+    st.lists(st.tuples(st.sampled_from(FLAG_WORDS), st.sampled_from(VALUE_WORDS)), max_size=4),
+)
+
+
+class TestCommandLine:
+    @settings(max_examples=500, deadline=None)
+    @given(argv=st.one_of(CANONICAL_ARGVS, st.lists(st.sampled_from(ARGV_WORDS), max_size=7)))
+    @example(argv=["check", "demo.json", "--level", "q", "--seed", "-5", "--level", "e", "--seed", "007"])
+    @example(argv=["check", "demo.json", "--d_exponent", "thm"])
+    @example(argv=["check", "--level", "--level", "q"])
+    @example(argv=["sweep", "demo.json", "--seed", "-1_0"])
+    @example(argv=["sweep", "demo.json", "--seed", "9" * 4400])
+    def test_direct_reading_is_argparse(self, argv):
+        # Wherever the direct reading answers, argparse reads the same.
+        direct = read_canonical(argv)
+        if direct is not None:
+            assert vars(direct) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", str(DEMO), "--lev", "q"],
+            ["check", str(DEMO), "--level=q"],
+            ["check", "--level", "q", str(DEMO)],
+        ],
+        ids=["abbreviated", "equals", "flag-first"],
+    )
+    def test_other_spellings_read_as_the_full_one(self, capsys, argv):
+        full = ["check", str(DEMO), "--level", "q"]
+        assert read_canonical(argv) is None and read_canonical(full) is not None
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(full) == 0
+        assert capsys.readouterr().out == out
+
+    def test_help_is_argparse_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+
+    def test_invalid_choice_is_argparse_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(DEMO), "--level", "z"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --level: invalid choice: 'z'" in captured.err
+
+    def test_scenario_batch_bytes(self, tmp_path, monkeypatch):
+        # The 96 seed-1 scenario-batch calls, serialized as ROADMAP's byte set
+        # is: one JSON line of argv, exit code, stdout and stderr per call,
+        # with the work directory written <work> and the repository <repo>.
+        monkeypatch.syspath_prepend(str(DEMO.parents[1] / "perfbench"))
+        import workloads
+
+        work, repo = str(tmp_path.resolve()), str(DEMO.parents[1])
+
+        def placed(text):
+            return text.replace(work, "<work>").replace(repo, "<repo>")
+
+        lines = []
+        for call in workloads.scenario_batch(1, tmp_path.resolve()).calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(call.argv)
+            lines.append(json.dumps([[placed(a) for a in call.argv], rc, placed(out.getvalue()), placed(err.getvalue())]))
+        assert len(lines) == 96
+        assert hashlib.md5("\n".join(lines).encode("utf-8")).hexdigest() == "0176fbc33c1f3e7c9aa3c10e17f4913d"

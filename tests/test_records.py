@@ -6,7 +6,8 @@ fields allow) hashes as its field tuple.  The validated records run their
 checks in ``__new__``, so an invalid value is refused at construction with
 the error type and message it always had.  No class of the package is a
 dataclass, and importing the command line loads neither ``dataclasses``
-nor the introspection modules it pulls in.
+nor the introspection modules it pulls in, nor (for a check spelled out
+in full) ``argparse``.
 """
 
 import functools
@@ -219,3 +220,19 @@ def test_cli_import_loads_no_dataclass_machinery():
     env = dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_cli_import_and_check_load_no_argparse():
+    # A fresh interpreter, as every command-line call is: ``argparse``
+    # pulls in ``gettext``, whose first message loads ``locale``.  A check
+    # spelled out in full is read without them.
+    heavy = ("argparse", "gettext", "locale")
+    code = (
+        "import contextlib, io, sys, cmperiods.cli as cli\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): cli.main(['check', {str(DEMO)!r}, '--seed', '3'])\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(DEMO.parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n[]\n"
