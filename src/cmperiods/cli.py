@@ -1,11 +1,13 @@
 """Command-line front-end: check scenarios, run sweeps, explain checks.
 
-Exit codes: 0 when every check passes, 1 when any check fails or errors,
+Exit codes: 0 when every check passes, 1 when any check fails or errors
+or the report cannot be written (``output error: <reason>`` on stderr),
 2 on malformed input.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -164,7 +166,15 @@ def main(argv: list[str] | None = None) -> int:
         where = f" (line {exc.line}, column {exc.column})" if exc.line else ""
         print(f"input error: {exc}{where}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, scn.options.format))
+    try:
+        sys.stdout.write(emit_report(report, scn.options.format))
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The interpreter flushes stdout again at exit, and would report the broken pipe there.
+            sys.stdout = open(os.devnull, "w")
+        print(f"output error: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0 if report.all_passed else 1
 
 

@@ -34,6 +34,7 @@ from .cmfield import (
 from .errors import CMPeriodsError, InvalidCMTypeError, ScenarioError
 from .hecke import InfinityType
 from .hodge import (
+    MAX_WINDOW_POINTS,
     ArchParams,
     InstanceAnalysis,
     analyze_instance,
@@ -128,6 +129,17 @@ CHECK_FIELDS = {
     "ephi": {},
 }
 CHECK_KINDS = tuple(CHECK_FIELDS)
+_BOUNDS = SweepBounds._field_defaults
+# Each field of ``options.sweep``: the instance count and the bounds a sweep draws from.
+SWEEP_FIELDS = {
+    "count": CheckField("int", 200, least=1),
+    "n_max": CheckField("int", _BOUNDS["n_max"], least=1),
+    # A draw redraws every place while any place is degenerate: about 2 passes at d 8, 1,400 at 45.
+    "d_max": CheckField("int", _BOUNDS["d_max"], least=1, most=8),
+    "two_a_max": CheckField("int", _BOUNDS["two_a_max"]),
+    "m_max": CheckField("int", _BOUNDS["m_max"], least=0),
+    "kappa_max": CheckField("int", _BOUNDS["kappa_max"], least=0),
+}
 
 
 class Options(SimpleNamespace):
@@ -273,6 +285,16 @@ BUILTIN_MODELS = {
 }
 
 
+# The most conjugate pairs a field model may have: building a model is cubic in
+# them (3.2 s at 100), and an ephi check walks all 2**pairs CM types (0.44 s at 12).
+MAX_MODEL_PAIRS = 12
+
+
+def _model_size(size: int) -> None:
+    if size > 2 * MAX_MODEL_PAIRS:
+        raise ScenarioError(f"field_model must have at most {MAX_MODEL_PAIRS} conjugate pairs, got {size} embeddings")
+
+
 def _parse_model(spec: Any) -> CMFieldModel:
     if "builtin" in _shaped(spec, dict, "field_model"):
         _known_keys(spec, ("builtin",), "field_model", "key")
@@ -281,11 +303,14 @@ def _parse_model(spec: Any) -> CMFieldModel:
             return klein_model()
         kind, _, arg = str(name).partition(":")
         if kind in BUILTIN_MODELS and arg.isdigit():
+            _model_size(2 * int(arg))  # cyclic and dihedral models of degree d have 2d embeddings
             return BUILTIN_MODELS[kind](int(arg))
         raise ScenarioError(f"unknown builtin field model {name!r}")
     _known_keys(spec, ("embeddings", "conj", "group"), "field_model", "key")
+    embeddings = _names(_required(spec, "embeddings", "field_model"), "field_model.embeddings")
+    _model_size(len(embeddings))
     return CMFieldModel(
-        embeddings=tuple(_names(_required(spec, "embeddings", "field_model"), "field_model.embeddings")),
+        embeddings=tuple(embeddings),
         conj=dict(_member(spec, "conj", "field_model")),
         group={
             name: dict(_shaped(perm, dict, f"field_model.group.{name}"))
@@ -323,8 +348,8 @@ _PLACE_KEYED = {
 }
 
 
-def _check_value(chk: dict, name: str, spec: CheckField, where: str, blocks: dict[str, dict]) -> Any:
-    """The check's value of field ``name``, or the field's default where the check leaves it out."""
+def _check_value(chk: dict, name: str, spec: CheckField, place: str, blocks: dict[str, dict]) -> Any:
+    """Field ``name`` of ``chk``, or its default where ``chk`` leaves it out; ``place`` names it in errors."""
     if name not in chk and spec.type != "name":
         return spec.default
     value = chk.get(name)
@@ -344,14 +369,15 @@ def _check_value(chk: dict, name: str, spec: CheckField, where: str, blocks: dic
     else:
         ok, wanted = _is_pair(value), "a list of two integers"
     if not ok:
-        raise ScenarioError(f"{where}: {name} must be {wanted}, got {_got(value)}")
+        raise ScenarioError(f"{place} must be {wanted}, got {_got(value)}")
     return value
 
 
 def _check_fields(chk: dict, kind: str, where: str, blocks: dict[str, dict]) -> dict:
-    """Every field of the check's kind, read from the check or defaulted."""
-    spec = CHECK_FIELDS[kind]
-    values = {name: _check_value(chk, name, spec[name], where, blocks) for name in spec}
+    """Every field of the check's kind, or of ``options.sweep`` for kind "sweep", read or defaulted."""
+    spec = SWEEP_FIELDS if kind == "sweep" else CHECK_FIELDS[kind]
+    place = "{}.{}" if kind == "sweep" else "{}: {}"
+    values = {name: _check_value(chk, name, spec[name], place.format(where, name), blocks) for name in spec}
     places = {
         name: sorted(_PLACE_KEYED[spec[name].block](blocks[spec[name].block][values[name]]))
         for name in spec
@@ -376,27 +402,24 @@ def _check_fields(chk: dict, kind: str, where: str, blocks: dict[str, dict]) -> 
             raise ScenarioError(
                 f"{where}: m_extra must be at least {least} for kappa_max {kappa_max}, got {m_extra}"
             )
+    if kind == "sweep":
+        # A draw is redrawn while some place t has a row A = kappa - 2(m_t - m_tbar).
+        # A rank-n row takes n of at least two_a_max values, so at twice n_max a place
+        # is degenerate with chance at most 1/2, and a draw takes at most 2**d_max passes.
+        if values["two_a_max"] < 2 * values["n_max"]:
+            raise ScenarioError(
+                f"{where}.two_a_max must be at least twice {where}.n_max ({values['n_max']}),"
+                f" got {values['two_a_max']}"
+            )
+        # A draw's window holds min |A + 2(m_t - m_tbar) - kappa| points over its places
+        # and rows, with |A| <= two_a_max and |m_t - m_tbar| <= 2 m_max.
+        widest = values["two_a_max"] + 4 * values["m_max"] + values["kappa_max"]
+        if widest > MAX_WINDOW_POINTS:
+            raise ScenarioError(
+                f"{where}: two_a_max + 4 * m_max + kappa_max must be at most {MAX_WINDOW_POINTS},"
+                f" the most points a critical window may hold, got {widest}"
+            )
     return values
-
-
-# The least value of each sweep setting that a sweep can sample from.
-_SWEEP_MINIMA = {"count": 1, "n_max": 1, "d_max": 1, "m_max": 0, "kappa_max": 0}
-
-
-def _check_sweep_sizes(options: Options) -> None:
-    """Reject sweep settings under which a sweep is empty or cannot draw an instance."""
-    values = {"count": options.sweep_count, **options.sweep._asdict()}
-    for key, least in _SWEEP_MINIMA.items():
-        if values[key] < least:
-            raise ScenarioError(f"options.sweep.{key} must be at least {least}, got {values[key]}")
-    # Above n_max, a rank-n draw has at least n + 1 doubled parameters of its
-    # parity to choose from, so it can avoid the one degenerate value per place.
-    bounds = options.sweep
-    if bounds.two_a_max <= bounds.n_max:
-        raise ScenarioError(
-            f"options.sweep.two_a_max must be greater than options.sweep.n_max ({bounds.n_max}),"
-            f" got {bounds.two_a_max}"
-        )
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -466,10 +489,9 @@ def parse_scenario(path: str) -> Scenario:
         opts_raw = _shaped(raw.get("options", {}), dict, "options")
         _known_keys(opts_raw, (*STRING_OPTIONS, "sweep"), "options", "key")
         sweep_raw = _shaped(opts_raw.get("sweep", {}), dict, "options.sweep")
-        sweep_keys = ("count", *SweepBounds._fields)
-        _known_keys(sweep_raw, sweep_keys, "options.sweep", "key")
-        sweep = {key: _int(sweep_raw[key], f"options.sweep.{key}") for key in sweep_keys if key in sweep_raw}
-        count = sweep.pop("count", 200)
+        _known_keys(sweep_raw, tuple(SWEEP_FIELDS), "options.sweep", "key")
+        sweep = _check_fields(sweep_raw, "sweep", "options.sweep", blocks)
+        count = sweep.pop("count")
         strings = {key: opts_raw.get(key, option.default) for key, option in STRING_OPTIONS.items()}
         for key, value in strings.items():
             if value not in STRING_OPTIONS[key].values:
@@ -478,7 +500,6 @@ def parse_scenario(path: str) -> Scenario:
         options = Options(
             **strings, seed=_int(raw.get("seed", 0), "seed"), sweep=SweepBounds(**sweep), sweep_count=count
         )
-        _check_sweep_sizes(options)
 
         checks = []
         instances: dict[tuple[str, str], InstanceAnalysis] = {}

@@ -15,23 +15,6 @@ from .cmfield import CMFieldModel, CMType, conjugate_signature, pull_back
 from .errors import DominanceError, InvalidCMTypeError, PreconditionError
 from .hecke import conjugate_infinity_type
 
-__all__ = [
-    "WeightParam",
-    "Signature",
-    "is_dominant",
-    "is_block_dominant",
-    "doubling_weight",
-    "doubling_equivariance_failures",
-    "dual_row",
-    "dual_weight",
-    "sharp_pair",
-    "det_twist",
-    "similitude_twist",
-    "sharp_dual_weight",
-    "sharp_dual_composite",
-    "conjugate_weight",
-]
-
 
 class WeightParam(namedtuple("WeightParam", "entries a0 n")):
     """Tuples ((a_{t,1},...,a_{t,n}) for t in the CM type; a0)."""

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import itertools
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,12 @@ from cmperiods import basechange, cmfield, scenario
 from cmperiods.cli import EXPLANATIONS, build_parser, main, read_canonical
 from cmperiods.cmfield import EmbFamilyModel, conjugate_cm_type
 from cmperiods.errors import ScenarioError
-from cmperiods.hodge import MAX_WINDOW_POINTS
+from cmperiods.hodge import MAX_WINDOW_POINTS, ArchParams, analyze_instance
 from cmperiods.scenario import (
     CHECK_FIELDS,
     CHECK_KINDS,
     STRING_OPTIONS,
+    SWEEP_FIELDS,
     Scenario,
     emit_report,
     parse_scenario,
@@ -439,6 +442,7 @@ class TestParsing:
         expected = [
             [kind, name, *cells(spec)] for kind, specs in CHECK_FIELDS.items() for name, spec in specs.items()
         ]
+        expected += [["options.sweep", name, *cells(spec)] for name, spec in SWEEP_FIELDS.items()]
         assert rows == expected
 
     @pytest.mark.parametrize(
@@ -690,6 +694,104 @@ DEMO_WITH_HUGE_A0 = dict(
 )
 
 
+def demo_with_sweep(**bounds):
+    doc = copy.deepcopy(DEMO_DOC)
+    doc["options"]["sweep"].update(bounds)
+    return doc
+
+
+# Sweep bounds at the corners of the accepted region: the rejection loop's
+# (n_max at half of two_a_max, a place degenerate whenever its row holds 0)
+# and the critical window's (two_a_max + 4 * m_max + kappa_max at the bound).
+LOOP_CORNER = {"n_max": 5000, "two_a_max": 10000, "m_max": 0, "kappa_max": 0, "d_max": 8}
+WINDOW_CORNER = {"n_max": 1, "two_a_max": 2000, "m_max": 1000, "kappa_max": 4000, "d_max": 8}
+
+
+class TestSizeBounds:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param(demo_with_sweep(count=20, m_max=m_max), "options.sweep: two_a_max + 4 * m_max + kappa_max"
+                         f" must be at most 10000, the most points a critical window may hold, got {got}",
+                         id=f"m_max-{m_max}")
+            for m_max, got in [(10000, 40019), (999999, 4000015)]
+        ]
+        + [
+            pytest.param(demo_with_sweep(count=20, two_a_max=10**7 + 1), "options.sweep: two_a_max + 4 * m_max"
+                         " + kappa_max must be at most 10000, the most points a critical window may hold,"
+                         " got 10000029", id="two_a_max"),
+            pytest.param(demo_with_sweep(count=10, d_max=45),
+                         "options.sweep.d_max must be an integer from 1 to 8, got 45", id="d_max"),
+            # Under the earlier rule, two_a_max above n_max, this took 22 s at count 20.
+            pytest.param(demo_with_sweep(count=20, **dict(LOOP_CORNER, n_max=16, two_a_max=17)),
+                         "options.sweep.two_a_max must be at least twice options.sweep.n_max (16), got 17",
+                         id="n_max"),
+            pytest.param({"schema": MINIMAL["schema"], "field_model": {"builtin": "cyclic:1000"}},
+                         "field_model must have at most 12 conjugate pairs, got 2000 embeddings",
+                         id="cyclic-1000"),
+            pytest.param({"schema": MINIMAL["schema"], "field_model": {"builtin": "dihedral:13"}},
+                         "field_model must have at most 12 conjugate pairs, got 26 embeddings",
+                         id="dihedral-13"),
+            pytest.param({"schema": MINIMAL["schema"], "field_model": {"embeddings": [f"e{i}" for i in range(25)]}},
+                         "field_model must have at most 12 conjugate pairs, got 25 embeddings",
+                         id="explicit-25"),
+        ],
+    )
+    def test_oversized_input_exits_two(self, tmp_path, capsys, doc, message):
+        for command in ("check", "sweep"):
+            assert main([command, write(tmp_path, doc)]) == 2
+            assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    def test_sweep_window_rule_at_its_corner(self, tmp_path, capsys):
+        # The widest window a draw can take: rank 1 at place t1 with the least doubled
+        # value, m_t - m_tbar = -2 m_max (weight 0) and kappa = kappa_max.
+        two_a_max, m_max, kappa_max = (WINDOW_CORNER[key] for key in ("two_a_max", "m_max", "kappa_max"))
+        widest = analyze_instance(
+            ArchParams({"t1": (-two_a_max,)}, 1, cmfield.cyclic_model(1)), {"t1": (-m_max, m_max)}, kappa_max
+        )
+        assert widest.window.hi - widest.window.lo == two_a_max + 4 * m_max + kappa_max == MAX_WINDOW_POINTS
+        parse_scenario(write(tmp_path, demo_with_sweep(**WINDOW_CORNER)))
+        for key, step, got in [("two_a_max", 1, 10001), ("m_max", 1, 10004), ("kappa_max", 1, 10001)]:
+            doc = demo_with_sweep(**dict(WINDOW_CORNER, **{key: WINDOW_CORNER[key] + step}))
+            assert main(["sweep", write(tmp_path, doc)]) == 2
+            assert capsys.readouterr().err == (
+                "input error: options.sweep: two_a_max + 4 * m_max + kappa_max must be at most 10000,"
+                f" the most points a critical window may hold, got {got}\n"
+            )
+
+    @pytest.mark.parametrize("corner", [LOOP_CORNER, WINDOW_CORNER], ids=["loop", "window"])
+    def test_sweep_at_its_mosts_is_quick(self, tmp_path, capsys, corner):
+        # Measured 0.3-0.9 s on 2 vCPUs with Python 3.11.
+        started = time.perf_counter()
+        assert main(["sweep", write(tmp_path, demo_with_sweep(count=3, **corner))]) == 0
+        assert time.perf_counter() - started < 10.0
+        assert json.loads(capsys.readouterr().out)["summary"]["pass"] == 5
+
+    @pytest.mark.parametrize(
+        "doc, seconds",
+        [
+            # 176,128 identities; measured 4-5 s on 2 vCPUs with Python 3.11.
+            pytest.param(dict(MINIMAL, checks=[{"kind": "lemma_d", "n_max": 64, "kappa_max": 16, "d_max": 8,
+                                                "m_extra": 16}]), 30.0, id="lemma_d"),
+            pytest.param(dict(MINIMAL, checks=[{"kind": "basechange", "m_max": 64, "odd_rank": odd}
+                                               for odd in (False, True)]), 5.0, id="basechange"),
+            # 4,096 CM types, each through the group's 48 elements: measured 0.7 s.
+            pytest.param({"schema": MINIMAL["schema"], "field_model": {"builtin": "dihedral:12"},
+                          "checks": [{"kind": "ephi"}]}, 10.0, id="ephi"),
+            # critical, signature, weights and compare on a window of 10,000 points: measured 0.2 s.
+            pytest.param(mutated(copy.deepcopy(DEMO_DOC), [
+                (("characters", "eta", "pairs"), {"t1": [1, -5004], "t2": [1, -5004]}),
+                (("checks",), [c for c in DEMO_DOC["checks"] if c["kind"] in ("critical", "signature", "weights",
+                                                                              "compare")]),
+            ]), 5.0, id="window"),
+        ],
+    )
+    def test_check_at_its_mosts_is_quick(self, tmp_path, doc, seconds):
+        started = time.perf_counter()
+        assert main(["check", write(tmp_path, doc)]) == 0
+        assert time.perf_counter() - started < seconds
+
+
 class TestMainEntry:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
@@ -702,6 +804,26 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         statuses = {c["id"]: c["status"] for c in payload["checks"]}
         assert statuses["cmp"] == "fail"
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("error", [errno.ENOSPC, errno.EPIPE], ids=["full", "broken-pipe"])
+    def test_output_error_ends_in_one_line(self, tmp_path, capsys, monkeypatch, method, error):
+        # A full disk (``> /dev/full``) or a closed pipe, raised by the write or by the flush.
+        class Unwritable(io.StringIO):
+            def fail(self, *args):
+                raise (BrokenPipeError if error == errno.EPIPE else OSError)(error, os.strerror(error))
+
+        stdout = Unwritable()
+        setattr(stdout, method, stdout.fail)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["check", write(tmp_path, MINIMAL)]) == 1
+        assert capsys.readouterr().err == f"output error: {os.strerror(error)}\n"
+        if error == errno.EPIPE:
+            # The interpreter's flush at exit goes to the null device, not to the pipe.
+            assert sys.stdout.name == os.devnull
+            sys.stdout.close()
+        else:
+            assert sys.stdout is stdout
 
     def test_exit_two_on_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -246,9 +246,3 @@ class TestDoublingEquivariance:
                         sig.conjugated(model, g),
                     )
                     assert lhs == conjugate_weight(lam, g, model)
-
-
-def test_every_public_name_resolves():
-    # A stale __all__ entry still imports; it fails only on a star import.
-    for name in weights.__all__:
-        getattr(weights, name)
